@@ -67,6 +67,12 @@ def _thread_count():
     return n
 
 
+def _json_text(payload):
+    """Strict JSON (RFC 8259): a non-finite float is an error, not a
+    bare NaN or Infinity token."""
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -241,7 +247,7 @@ def cmd_flow(args):
             "termination": trajectory.termination,
             "steps": trajectory.n_steps,
         }
-        _write_text(output, json.dumps(payload, indent=1) + "\n")
+        _write_text(output, _json_text(payload))
     return EXIT_OK
 
 
@@ -255,6 +261,9 @@ def _parse_seed_list(text, width):
             seed = tuple(float(p) for p in chunk.split(","))
         except ValueError:
             raise ConfigError(f"field 'seeds': bad vector {chunk!r}")
+        if not all(math.isfinite(v) for v in seed):
+            raise ConfigError(f"field 'seeds': entries must be finite, "
+                              f"got {chunk!r}")
         if len(seed) != width:
             raise ConfigError(f"field 'seeds': expected {width} entries "
                               f"per seed, got {len(seed)}")
@@ -285,7 +294,7 @@ def cmd_fixed_points(args):
         ],
         "abandoned_seeds": [list(s) for s in results.abandoned_seeds],
     }
-    _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+    _write_text(args.output, _json_text(payload))
     return EXIT_OK
 
 
@@ -321,9 +330,11 @@ def cmd_vector_field(args):
             "model": model,
             "axes": list(axes),
             "resolution": resolution,
-            "rows": [[float(v) for v in row] for row in grid],
+            # a non-finite log10_mag (the -inf and nan sentinels) is null
+            "rows": [[float(v) if math.isfinite(v) else None for v in row]
+                     for row in grid],
         }
-        _write_text(output, json.dumps(payload, indent=1) + "\n")
+        _write_text(output, _json_text(payload))
     return EXIT_OK
 
 
@@ -333,7 +344,7 @@ def cmd_verify(args):
         records.extend(_fock.verify_lemmas())
     if args.suite in ("integration", "all"):
         records.extend(_integration.verify_identities())
-    _write_text(args.output, json.dumps(records, indent=1) + "\n")
+    _write_text(args.output, _json_text(records))
     failed = [r["lemma"] for r in records if not r["passed"]]
     if failed:
         sys.stderr.write("failed: " + ", ".join(failed) + "\n")

@@ -1,38 +1,141 @@
 """Multivariate polynomials in the running couplings.
 
-``CouplingPolynomial`` maps exponent tuples to coefficients from one of
-the exact scalar rings (Fraction by default).  Zero coefficients are
-never stored, so ``bool(p)`` is the zero test and equality is structural.
-These polynomials are themselves valid coefficients for Grassmann
-polynomials, which is how the RG step keeps the couplings symbolic.
+``CouplingPolynomial`` is a polynomial in ``nvars`` variables with
+coefficients from one of the exact scalar rings (Fraction by default).
+Zero coefficients are never stored, so ``bool(p)`` is the zero test and
+equality is structural.  These polynomials are themselves valid
+coefficients for Grassmann polynomials, which is how the RG step keeps
+the couplings symbolic.
+
+The storage follows the packed sparse polynomials of Monagan and
+Pearce.  A monomial is one int holding ``BITS`` bits per variable, with
+the first variable in the highest field, so packed keys sort like
+exponent tuples and adding two keys multiplies the monomials.  Rational
+coefficients are int numerators over one positive denominator per
+polynomial, kept in lowest terms, so the ring operations run on ints.
+Other rings (impurity elements, radicals) keep their elements as the
+values and multiply in operand order.  ``terms`` is the exponent-tuple
+view, built on first access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+
+# The top bit of each field is a guard: exponents stay at most
+# MAX_EXPONENT, so adding two keys never carries into the next field,
+# and a set guard bit in a sum flags an exponent that does not fit.
+BITS = 16
+MAX_EXPONENT = (1 << (BITS - 1)) - 1
+_FIELD = (1 << BITS) - 1
+
+
+def _pack(exps):
+    key = 0
+    for k in exps:
+        if not 0 <= k <= MAX_EXPONENT:
+            raise OverflowError(f"exponent {k} outside 0..{MAX_EXPONENT}")
+        key = key << BITS | k
+    return key
+
+
+def _unpack(key, nvars):
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exps[i] = key & _FIELD
+        key >>= BITS
+    return tuple(exps)
+
+
+def _guard_mask(nvars):
+    return ((1 << nvars * BITS) - 1) // _FIELD << (BITS - 1)
+
+
+def _accumulate(out, items):
+    """Add (key, value) pairs into ``out`` in place, dropping zeros."""
+    get = out.get
+    for k, v in items:
+        s = get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 class CouplingPolynomial:
     """Polynomial over exponent tuples of fixed length ``nvars``."""
 
-    __slots__ = ("nvars", "terms", "_float_terms")
+    # _c maps packed keys to int numerators over the denominator _den,
+    # or, when _den is None, to ring elements
+    __slots__ = ("nvars", "_c", "_den", "_terms", "_float_terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
+        self._terms = None
         self._float_terms = None
+        items = []
         if terms:
             for exps, c in terms.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent tuple length mismatch")
                 if c:
-                    self.terms[tuple(exps)] = c
-
-    # -- constructors -------------------------------------------------
+                    items.append((_pack(exps), c))
+        if all(isinstance(c, (int, Fraction)) for _, c in items):
+            # over the lcm of reduced denominators the numerators share
+            # no factor with it, so the result is already in lowest terms
+            fr = [(k, Fraction(c)) for k, c in items]
+            den = lcm(*(f.denominator for _, f in fr))
+            self._den = den
+            self._c = {k: f.numerator * (den // f.denominator)
+                       for k, f in fr}
+        else:
+            self._den = None
+            self._c = dict(items)
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    def _make(cls, nvars, c, den):
+        """Wrap packed terms without zeros; reduce rational ones."""
+        if den is not None and den != 1:
+            g = gcd(den, *c.values())
+            if g != 1:
+                den //= g
+                c = {k: v // g for k, v in c.items()}
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p._c = c
+        p._den = den
+        p._terms = None
+        p._float_terms = None
+        return p
+
+    def _values(self):
+        """Packed key -> coefficient as a ring element."""
+        den = self._den
+        if den is None:
+            return self._c
+        return {k: Fraction(v, den) for k, v in self._c.items()}
+
+    def _coefficient(self, key):
+        v = self._c.get(key)
+        if v is None:
+            return Fraction(0)
+        return v if self._den is None else Fraction(v, self._den)
+
+    @property
+    def terms(self):
+        """Exponent tuple -> coefficient; read-only by convention."""
+        t = self._terms
+        if t is None:
+            n = self.nvars
+            t = {_unpack(k, n): c for k, c in self._values().items()}
+            self._terms = t
+        return t
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, nvars, c):
@@ -54,20 +157,22 @@ class CouplingPolynomial:
         if not isinstance(other, CouplingPolynomial):
             return self + CouplingPolynomial.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return CouplingPolynomial(self.nvars, out)
+        da, db = self._den, other._den
+        if da is None or db is None:
+            out = _accumulate(dict(self._values()),
+                              other._values().items())
+            return CouplingPolynomial._make(self.nvars, out, None)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {k: v * fa for k, v in self._c.items()}
+        _accumulate(out, ((k, v * fb) for k, v in other._c.items()))
+        return CouplingPolynomial._make(self.nvars, out, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CouplingPolynomial(self.nvars,
-                                  {e: -c for e, c in self.terms.items()})
+        return CouplingPolynomial._make(
+            self.nvars, {k: -c for k, c in self._c.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CouplingPolynomial)
@@ -76,33 +181,49 @@ class CouplingPolynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, s, left):
+        """Every coefficient times the scalar ``s``, on the given side."""
+        if not s:
+            return CouplingPolynomial(self.nvars)
+        if self._den is not None and isinstance(s, (int, Fraction)):
+            s = Fraction(s)
+            num = s.numerator
+            return CouplingPolynomial._make(
+                self.nvars, {k: v * num for k, v in self._c.items()},
+                self._den * s.denominator)
+        vals = self._values().items()
+        out = ({k: s * c for k, c in vals} if left
+               else {k: c * s for k, c in vals})
+        return CouplingPolynomial._make(
+            self.nvars, {k: c for k, c in out.items() if c}, None)
+
     def __mul__(self, other):
         if not isinstance(other, CouplingPolynomial):
             # scalar from the coefficient ring, applied on the right
-            if not other:
-                return CouplingPolynomial(self.nvars)
-            return CouplingPolynomial(
-                self.nvars, {e: c * other for e, c in self.terms.items()})
+            return self._scaled(other, left=False)
         self._check(other)
+        da, db = self._den, other._den
+        rational = da is not None and db is not None
+        a, b = (self._c, other._c) if rational else \
+            (self._values(), other._values())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return CouplingPolynomial(self.nvars, out)
+        get = out.get
+        bi = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in bi:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        out = {k: c for k, c in out.items() if c}
+        if reduce(or_, out, 0) & _guard_mask(self.nvars):
+            raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
+        return CouplingPolynomial._make(self.nvars, out,
+                                        da * db if rational else None)
 
     def __rmul__(self, other):
         # scalar on the left; coefficient rings may be noncommutative
         if isinstance(other, CouplingPolynomial):
             return NotImplemented
-        if not other:
-            return CouplingPolynomial(self.nvars)
-        return CouplingPolynomial(
-            self.nvars, {e: other * c for e, c in self.terms.items()})
+        return self._scaled(other, left=True)
 
     def __truediv__(self, other):
         if isinstance(other, CouplingPolynomial):
@@ -110,8 +231,11 @@ class CouplingPolynomial:
                 raise ZeroDivisionError(
                     "polynomial division only by constants")
             other = other.constant_coefficient()
-        return CouplingPolynomial(
-            self.nvars, {e: c / other for e, c in self.terms.items()})
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return CouplingPolynomial._make(
+            self.nvars, {k: c / other for k, c in self._values().items()},
+            None)
 
     def __pow__(self, n):
         if n < 0:
@@ -126,14 +250,18 @@ class CouplingPolynomial:
         return result
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._c)
 
     def __eq__(self, other):
         if not isinstance(other, CouplingPolynomial):
-            if self.is_constant() or not self.terms:
+            if self.is_constant():
                 return self.constant_coefficient() == other
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        if self._den is not None and other._den is not None:
+            return self._den == other._den and self._c == other._c
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -141,60 +269,30 @@ class CouplingPolynomial:
     # -- structure ----------------------------------------------------
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not any(self._c)
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self._coefficient(0)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
     def linear_coefficient(self, j):
-        exps = [0] * self.nvars
-        exps[j] = 1
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self._coefficient(1 << (self.nvars - 1 - j) * BITS)
 
     def derivative(self, j):
+        shift = (self.nvars - 1 - j) * BITS
+        unit = 1 << shift
         out = {}
-        for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            d = list(e)
-            d[j] -= 1
-            nc = c * e[j]
-            if nc:
-                out[tuple(d)] = nc
-        return CouplingPolynomial(self.nvars, out)
+        for k, c in self._c.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                out[k - unit] = c * e
+        return CouplingPolynomial._make(self.nvars, out, self._den)
 
     def map_coefficients(self, fn):
         return CouplingPolynomial(
             self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
-    def term_count(self):
-        return len(self.terms)
-
-    def truncate_total_degree(self, max_degree):
-        return CouplingPolynomial(
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) <= max_degree})
-
-    def inverse_series(self, max_degree):
-        """Power-series inverse truncated at total degree ``max_degree``.
-
-        Requires an invertible constant term.
-        """
-        g = self.constant_coefficient()
-        if not g:
-            raise ZeroDivisionError("no invertible constant term")
-        u = (self - CouplingPolynomial.constant(self.nvars, g)) / g
-        acc = CouplingPolynomial.constant(self.nvars, Fraction(1))
-        pw = CouplingPolynomial.constant(self.nvars, Fraction(1))
-        for _ in range(max_degree):
-            pw = (pw * (-u)).truncate_total_degree(max_degree)
-            if not pw:
-                break
-            acc = acc + pw
-        return acc / g
 
     # -- evaluation ----------------------------------------------------
 

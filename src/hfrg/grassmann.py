@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .couplings import CouplingPolynomial
-
 _SPIN_ORDER = {"up": 0, "dn": 1}
 _CONJ_ORDER = {"+": 0, "-": 1}
 
@@ -278,39 +276,22 @@ def exp_truncated(p, one=Fraction(1)):
         k += 1
 
 
-def log_truncated(p, series_degree=None):
+def log_truncated(p):
     """Split p = c0 * (1 + q) and return (c0, log(1 + q)).
 
-    c0 is the constant term.  When c0 is itself a coupling polynomial
-    the division is performed as a formal power series in the
-    couplings, truncated at ``series_degree`` (required in that case);
-    a scalar c0 divides exactly.  A missing or zero constant term makes
-    the logarithm singular.
+    c0 is the constant term, a scalar that divides exactly.  A missing
+    or zero constant term makes the logarithm singular.
     """
     c0 = p.terms.get(0)
     if c0 is None or not c0:
         raise SingularNormalization("constant term is not invertible")
-    rest = p - GrassmannPolynomial.scalar(c0)
-    if isinstance(c0, CouplingPolynomial) and not c0.is_constant():
-        if series_degree is None:
-            raise SingularNormalization(
-                "coupling-valued normalization needs a series truncation "
-                "degree")
-        inv = c0.inverse_series(series_degree)
-        trunc = lambda f: f.truncate_total_degree(series_degree)
-        q = GrassmannPolynomial(
-            {m: trunc(c * inv) for m, c in rest.terms.items()})
-        reduce = lambda poly: GrassmannPolynomial(
-            {m: trunc(c) for m, c in poly.terms.items()})
-    else:
-        q = rest.scale(1 / c0 if isinstance(c0, Fraction) else
-                       Fraction(1) / c0)
-        reduce = lambda poly: poly
+    q = (p - GrassmannPolynomial.scalar(c0)).scale(
+        1 / c0 if isinstance(c0, Fraction) else Fraction(1) / c0)
     acc = GrassmannPolynomial()
     pw = GrassmannPolynomial.scalar(Fraction(1))
     k = 1
     while True:
-        pw = reduce(pw * q)
+        pw = pw * q
         if not pw:
             return c0, acc
         sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)

@@ -179,6 +179,33 @@ def test_vector_field_json_payload(tmp_path):
     assert all(len(row) == 5 for row in obj["rows"])
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("extra, sentinel_row", [
+    # zero displacement at the equilibria (0, 0) and (1, 0)
+    (["--resolution", "5"], [0.0, 0.0, 0.0, 0.0, None]),
+    # the normalization vanishes at l0 = -1
+    (["--range-i=-1.5,-0.5", "--resolution", "3"],
+     [-1.0, 0.0, 0.0, 0.0, None]),
+])
+def test_vector_field_json_is_strict(tmp_path, extra, sentinel_row):
+    out = tmp_path / "vf.json"
+    assert run(["vector-field", "--model", "graphene", "--format", "json",
+                "--output", str(out)] + extra) == 0
+    rows = _strict_json(out.read_text())["rows"]
+    assert sentinel_row in rows
+    assert all(isinstance(v, float) for row in rows for v in row[:4])
+
+
+def test_fixed_points_rejects_non_finite_seeds(capsys):
+    assert run(["fixed-points", "kondo", "--seeds", "nan,0.1"]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_verify_integration_suite_passes(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "integration", "--output", str(out)]) == 0

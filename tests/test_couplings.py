@@ -1,10 +1,13 @@
-"""Coupling-polynomial tests with a naive evaluation oracle."""
+"""Coupling-polynomial tests with a naive evaluation oracle, and the
+packed integer core against a naive tuple-dict Fraction reference."""
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from hfrg.couplings import CouplingPolynomial
+from hfrg.couplings import MAX_EXPONENT, CouplingPolynomial
+from hfrg.scalars import ImpurityElement
 
 fractions_st = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
@@ -80,3 +83,145 @@ def test_float_evaluation_path():
     v = p.evaluate([0.5])
     assert isinstance(v, float)
     assert abs(v - (3 * 0.25 - 0.5 + 5)) < 1e-15
+
+
+# -- the packed core against a tuple-dict reference ------------------------
+
+
+def term_dicts(nvars, max_terms=5, max_exp=3):
+    exps = st.tuples(*([st.integers(0, max_exp)] * nvars))
+    return st.dictionaries(exps, fractions_st, max_size=max_terms)
+
+
+scalars_st = st.one_of(fractions_st, st.integers(-6, 6))
+
+
+def ref_clean(a):
+    return {e: Fraction(c) for e, c in a.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(ref_clean(a))
+    for e, c in ref_clean(b).items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, s):
+    return ref_clean({e: c * s for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in ref_clean(a).items():
+        for e2, c2 in ref_clean(b).items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def assert_matches(p, ref):
+    """Same terms as the reference, coefficient values in lowest terms,
+    and structurally equal (== and hash) to the polynomial built from
+    the reference dict."""
+    assert p.terms == ref
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.to_json_obj()["terms"] == [
+        [list(e), str(ref[e].numerator), str(ref[e].denominator)]
+        for e in sorted(ref)]
+    built = CouplingPolynomial(p.nvars, ref)
+    assert p == built and hash(p) == hash(built)
+    assert bool(p) == bool(ref)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_packed_core_matches_reference(data):
+    nvars = data.draw(st.sampled_from([1, 2, 7]))
+    a = data.draw(term_dicts(nvars))
+    b = data.draw(term_dicts(nvars))
+    s = data.draw(scalars_st)
+    n = data.draw(st.integers(0, 3))
+    p, q = CouplingPolynomial(nvars, a), CouplingPolynomial(nvars, b)
+    assert_matches(p, ref_clean(a))
+    assert_matches(p + q, ref_add(a, b))
+    assert_matches(p - q, ref_add(a, ref_scale(b, -1)))
+    assert_matches(-p, ref_scale(a, -1))
+    assert_matches(p * q, ref_mul(a, b))
+    assert_matches(p ** n, ref_pow(a, n, nvars))
+    assert_matches(p * s, ref_scale(a, s))
+    assert_matches(s * p, ref_scale(a, s))
+    if s:
+        assert_matches(p / s, ref_scale(a, 1 / Fraction(s)))
+
+
+@given(st.sampled_from([1, 2, 7]).flatmap(
+    lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))))
+def test_cancellation_to_exact_zero(case):
+    nvars, a, b = case
+    p, q = CouplingPolynomial(nvars, a), CouplingPolynomial(nvars, b)
+    for zero in (p - p, p + (-p), (p + q) * (p - q) - (p * p - q * q),
+                 p * 0, p * Fraction(0), p * CouplingPolynomial(nvars)):
+        assert not zero
+        assert zero.terms == {}
+        assert zero == CouplingPolynomial(nvars)
+        assert hash(zero) == hash(CouplingPolynomial(nvars))
+
+
+def test_common_denominator_cancels_in_sums():
+    x = CouplingPolynomial.variable(2, 0)
+    y = CouplingPolynomial.variable(2, 1)
+    p = x * Fraction(1, 6) + y * Fraction(1, 4)
+    q = x * Fraction(5, 6) + y * Fraction(3, 4)
+    assert (p + q).to_json_obj()["terms"] == [
+        [[0, 1], "1", "1"], [[1, 0], "1", "1"]]
+    assert p + q == x + y and hash(p + q) == hash(x + y)
+
+
+def test_exponent_at_and_past_the_packing_limit():
+    x = CouplingPolynomial.variable(2, 0)
+    y = CouplingPolynomial.variable(2, 1)
+    top = CouplingPolynomial(2, {(MAX_EXPONENT, 0): Fraction(3)})
+    assert top.terms == {(MAX_EXPONENT, 0): 3}
+    assert (top * y).terms == {(MAX_EXPONENT, 1): 3}
+    assert (x ** MAX_EXPONENT).terms == {(MAX_EXPONENT, 0): 1}
+    low = CouplingPolynomial(2, {(0, MAX_EXPONENT): Fraction(1)})
+    assert (low * x).terms == {(1, MAX_EXPONENT): 1}
+    for exps in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (-1, 0)):
+        with pytest.raises((OverflowError, ValueError)):
+            CouplingPolynomial(2, {exps: Fraction(1)})
+    # one past the limit in either field, never a carry into the other
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        low * y
+    with pytest.raises(OverflowError):
+        x ** (MAX_EXPONENT + 1)
+    s1 = CouplingPolynomial(2, {(MAX_EXPONENT, 0): ImpurityElement.spin(1)})
+    with pytest.raises(OverflowError):
+        s1 * x
+
+
+def test_impurity_coefficients_keep_operand_order():
+    s1, s2 = ImpurityElement.spin(1), ImpurityElement.spin(2)
+    assert s1 * s2 != s2 * s1
+    x = CouplingPolynomial.variable(2, 0, one=s1)
+    y = CouplingPolynomial.variable(2, 1, one=s2)
+    assert (x * y).terms == {(1, 1): s1 * s2}
+    assert (y * x).terms == {(1, 1): s2 * s1}
+    assert x * y != y * x
+    assert (x * s2).terms == {(1, 0): s1 * s2}
+    assert (s2 * x).terms == {(1, 0): s2 * s1}
+    half = CouplingPolynomial(2, {(0, 1): Fraction(1, 2)})
+    assert (x * half).terms == {(1, 1): s1 * Fraction(1, 2)}
+    assert (half * x + x * half).terms == {(1, 1): s1}
+    assert not (x - x) and (x - x).terms == {}
+    # S1 S2 + S2 S1 = 0: the sum of both orders cancels exactly
+    assert not (x * y + y * x)

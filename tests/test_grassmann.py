@@ -141,20 +141,6 @@ def test_log_singular_without_constant():
         log_truncated(GrassmannPolynomial.monomial([0, 1]))
 
 
-def test_log_coupling_series_mode():
-    # p = c0(l) + l0 * g01 with c0 = 1 + l0; series division needed
-    x = CouplingPolynomial.variable(1, 0)
-    one = CouplingPolynomial.constant(1, Fraction(1))
-    p = GrassmannPolynomial({0: one + x, 0b11: x})
-    with pytest.raises(SingularNormalization):
-        log_truncated(p)
-    c0, series = log_truncated(p, series_degree=3)
-    assert c0 == one + x
-    # log(1 + x/(1+x) g01) = x(1 - x + x^2 - ...) g01, truncated at deg 3
-    expected = x - x * x + x * x * x
-    assert series.terms[0b11] == expected
-
-
 def test_scalar_coefficient_interop():
     x = CouplingPolynomial.variable(2, 0)
     p = GrassmannPolynomial({0b11: x})
