@@ -13,7 +13,7 @@ the first variable in the highest field, so packed keys sort like
 exponent tuples and adding two keys multiplies the monomials.  Rational
 coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
-Other rings (impurity elements, radicals) keep their elements as the
+Other rings (the impurity matrices) keep their elements as the
 values and multiply in operand order.  ``terms`` is the exponent-tuple
 view, built on first access.
 """

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .grassmann import SingularNormalization
-from .rg import evaluate_beta
 
 CONVERGE_TOL = 1e-14
 DIVERGE_CUTOFF = 1e6
@@ -93,7 +92,7 @@ def iterate_flow(beta, start, max_steps, converge_tol=CONVERGE_TOL,
     termination = "max steps"
     for _ in range(max_steps):
         try:
-            nxt = tuple(evaluate_beta(beta, cur))
+            nxt = tuple(beta.evaluate(cur))
         except _NUMERIC_ERRORS:
             termination = "diverged"
             break
@@ -116,7 +115,7 @@ def stability(beta, point, marginal_band=MARGINAL_BAND):
     """Classify an equilibrium by the eigenvalue moduli of the exact
     Jacobian evaluated at ``point``."""
     loc = tuple(float(x) for x in point)
-    image = evaluate_beta(beta, loc)
+    image = beta.evaluate(loc)
     residual = _inf_norm([a - b for a, b in zip(image, loc)])
     jac = np.array(beta.jacobian(loc), dtype=float)
     moduli = tuple(sorted((float(abs(z)) for z in np.linalg.eigvals(jac)),
@@ -131,7 +130,7 @@ def stability(beta, point, marginal_band=MARGINAL_BAND):
 
 
 def _residual_vector(beta, x):
-    return [a - b for a, b in zip(evaluate_beta(beta, x), x)]
+    return [a - b for a, b in zip(beta.evaluate(x), x)]
 
 
 def _newton(beta, seed, tol):
@@ -232,7 +231,7 @@ def _grid_row(beta, axis_i, axis_j, base, li, lj):
     x[axis_i] = li
     x[axis_j] = lj
     try:
-        image = evaluate_beta(beta, x)
+        image = beta.evaluate(x)
         di = image[axis_i] - li
         dj = image[axis_j] - lj
     except _NUMERIC_ERRORS:

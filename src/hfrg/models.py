@@ -4,9 +4,9 @@
   seven-operator interaction basis closed under the RG step, scaling
   exponent 1, replication 8 (each coarse box holds 2^(d+1) children).
 
-* Spin-impurity chain ("kondo"): one site, two spins, an impurity spin
-  algebra tensored onto the coefficients, scaling exponent 1/2, two
-  half-box factors per box.
+* Spin-impurity chain ("kondo"): one site, two spins, the impurity spin
+  algebra M2(Q) tensored onto the coefficients, scaling exponent 1/2,
+  two half-box factors per box.
 
 Also hosts the honeycomb lattice reference functions (dispersion,
 bands, Fermi points) used by the `lattice` CLI subcommand, and the
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .couplings import CouplingPolynomial
 from .grassmann import GeneratorId, GrassmannPolynomial
 from .integration import PropagatorTable, Universe
-from .scalars import GaussianRational, I_UNIT, ImpurityElement, RootTwo
+from .scalars import ImpurityElement
 
 UP, DN = "up", "dn"
 PLUS, MINUS = "+", "-"
@@ -176,16 +176,6 @@ def graphene_model():
 
 # -------------------------------------------------------------------- kondo
 
-# spin-1/2 matrices; row/column index 0 is up, 1 is dn
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
-SPIN_MATRICES = {
-    1: ((_ZERO, _ONE), (_ONE, _ZERO)),
-    2: ((_ZERO, -I_UNIT), (I_UNIT, _ZERO)),
-    3: ((_ONE, _ZERO), (_ZERO, -_ONE)),
-}
-
-
 def _kondo_universe():
     gens = []
     for spin in (UP, DN):
@@ -198,40 +188,26 @@ def _kondo_universe():
     return Universe(gens)
 
 
-def _kondo_bilinears(u):
-    """The three spin-channel bilinears sum_ss' psi+_s M[s,s'] psi-_s'."""
-    spins = (UP, DN)
-    out = {}
-    for j, mat in SPIN_MATRICES.items():
-        poly = GrassmannPolynomial()
-        for r, s in enumerate(spins):
-            for c, sp in enumerate(spins):
-                coeff = mat[r][c]
-                if not coeff:
-                    continue
-                poly = poly + u.monomial(
-                    [_ext("", s, PLUS), _ext("", sp, MINUS)], RootTwo(coeff))
-        out[j] = poly
-    return out
-
-
 def _kondo_operators(u):
-    bilinears = _kondo_bilinears(u)
+    """Exchange sum_j S_j (x) 1/2 psi+ sigma_j psi- and double occupancy
+    1/2 (sum_j psi+ sigma_j psi-)**2, with coefficients in M2(Q).
+
+    By the Fierz identity sum_j sigma_j[a,b] sigma_j[s,s'] =
+    2 delta_as' delta_bs - delta_ab delta_ss', the exchange coefficient
+    of psi+_s psi-_s' is 1/2 (2 E_s's - delta_ss' 1), and the double
+    occupancy is -3 times the full quartic.
+    """
+    spins = (UP, DN)
     half = Fraction(1, 2)
-
     exchange = GrassmannPolynomial()
-    for j, poly in bilinears.items():
-        spin_j = ImpurityElement.spin(j)
-        exchange = exchange + poly.map_coefficients(
-            lambda c, sj=spin_j: sj * (c * half))
-
-    total = GrassmannPolynomial()
-    for poly in bilinears.values():
-        total = total + poly
-    squared = total * total
-    double_occupancy = squared.map_coefficients(
-        lambda c: ImpurityElement(c * half))
-
+    for s, spin in enumerate(spins):
+        for sp, spin_p in enumerate(spins):
+            coeff = ImpurityElement.unit(sp, s) - (half if s == sp else 0)
+            exchange = exchange + u.monomial(
+                [_ext("", spin, PLUS), _ext("", spin_p, MINUS)], coeff)
+    double_occupancy = u.monomial(
+        [_ext("", spin, conj) for spin in spins for conj in (PLUS, MINUS)],
+        ImpurityElement.scalar(-3))
     return OperatorBasis((
         ("exchange", exchange),
         ("double_occupancy", double_occupancy),
@@ -255,7 +231,14 @@ KONDO_PROPAGATOR_VARIANTS = {
 
 def kondo_model(propagator_variant="cross_antisymmetric"):
     """Spin-impurity spec: two half-box fluctuation fields integrated
-    jointly, coarse field scaled by 2**(-1/2) in both factors."""
+    jointly, the coarse psi+ scaled by 1/2 and psi- by 1 in both factors.
+
+    The model's coarse field scale is 2**(-1/2) on every generator; the
+    rational split gives the same map because every propagator entry
+    and every operator is charge-neutral, so each coarse monomial of
+    the integrated product carries as many psi+ as psi-, and each such
+    pair carries 1/2 = (2**(-1/2))**2 either way.
+    """
     u = _kondo_universe()
     pattern = KONDO_PROPAGATOR_VARIANTS[propagator_variant]
     entries = {}
@@ -264,7 +247,7 @@ def kondo_model(propagator_variant="cross_antisymmetric"):
             entries[(_int(hm, "", s, MINUS), _int(hp, "", s, PLUS))] = \
                 Fraction(val)
     table = PropagatorTable(u, entries, blocks=[{0, 1}])
-    scale = RootTwo.half_power_of_two(-1)
+    scale = {PLUS: Fraction(1, 2), MINUS: Fraction(1)}
     images = []
     for half in (0, 1):
         img = {}
@@ -273,7 +256,7 @@ def kondo_model(propagator_variant="cross_antisymmetric"):
                 continue
             partner = _int(half, "", g.spin, g.conj)
             img[u.bit_of[g]] = u.generator(partner) \
-                + u.generator(g).scale(scale)
+                + u.generator(g).scale(scale[g.conj])
         images.append(img)
     return ModelSpec(
         name="kondo",
@@ -293,8 +276,10 @@ def kondo_model(propagator_variant="cross_antisymmetric"):
 
 
 def _impurity_components(c):
+    """Nonzero coordinates (j, value): the matrix entries a, b, c, d of
+    an impurity element, or the entry a of a scalar."""
     if isinstance(c, ImpurityElement):
-        return [(j, v) for j, v in enumerate(c.c) if v]
+        return [(j, v) for j, v in enumerate(c.entries) if v]
     return [(0, c)]
 
 
@@ -302,8 +287,9 @@ def _component(c, j):
     if isinstance(c, CouplingPolynomial):
         return c.map_coefficients(lambda v: _component(v, j))
     if isinstance(c, ImpurityElement):
-        return c.c[j]
-    return c if j == 0 else Fraction(0)
+        return c.entries[j]
+    # a scalar is the scalar matrix: entries a and d
+    return c if j in (0, 3) else Fraction(0)
 
 
 def _solve_square(a, b):
@@ -330,8 +316,9 @@ def project_onto_basis(p, basis):
     """Exact decomposition p = sum_i x_i * basis_i + residual.
 
     Coefficients may be plain scalars, impurity elements, or coupling
-    polynomials over either; the system is solved exactly over the
-    scalar field, and the residual is returned, never dropped.
+    polynomials over either; an impurity coefficient contributes its
+    four matrix entries as coordinates.  The system is solved exactly
+    over the rationals, and the residual is returned, never dropped.
     """
     polys = basis.polys if isinstance(basis, OperatorBasis) else tuple(basis)
     n = len(polys)
@@ -381,12 +368,12 @@ def _coeff_token(c):
     """Stable one-line text form of any coefficient-ring element."""
     if isinstance(c, Fraction):
         return str(c)
-    if isinstance(c, GaussianRational):
-        return f"{c.re}+{c.im}i"
-    if isinstance(c, RootTwo):
-        return f"{_coeff_token(c.a)}&{_coeff_token(c.b)}r2"
     if isinstance(c, ImpurityElement):
-        return ";".join(_coeff_token(x) for x in c.c)
+        # Pauli coordinates, each as re+imi&0+0ir2 (x + y*sqrt(2) over
+        # Gaussian rationals); only the S2 coordinate is imaginary
+        c0, c1, y, c3 = c.pauli_components()
+        return (f"{c0}+0i&0+0ir2;{c1}+0i&0+0ir2;"
+                f"0+{y}i&0+0ir2;{c3}+0i&0+0ir2")
     raise TypeError(f"no token form for {type(c).__name__}")
 
 

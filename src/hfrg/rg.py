@@ -18,12 +18,12 @@ from .couplings import CouplingPolynomial
 from .grassmann import GrassmannPolynomial, SingularNormalization, exp_truncated
 from .integration import integrate_polynomial
 from .models import project_onto_basis
-from .scalars import GaussianRational, ImpurityElement, RootTwo
+from .scalars import ImpurityElement
 
 
 class SymmetryViolation(RuntimeError):
-    """The integrated interaction left the operator basis, or produced
-    coefficients outside the expected scalar ring."""
+    """The integrated interaction left the operator basis, or its
+    normalization is not a scalar."""
 
 
 @dataclass(eq=False)
@@ -175,10 +175,6 @@ class BetaMap:
         )
 
 
-def evaluate_beta(beta, values):
-    return beta.evaluate(values)
-
-
 # ---------------------------------------------------------------- the step
 
 
@@ -265,29 +261,17 @@ def rg_step_graphene(spec):
     )
 
 
-def _rational_value(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, RootTwo):
-        if v.is_rational():
-            return v.rational_part()
-    elif isinstance(v, GaussianRational):
-        if not v.im:
-            return v.re
-    raise SymmetryViolation(f"coupling flow left the rational ring: {v!r}")
-
-
 def rg_step_kondo(spec):
     """Integrate one scale of the impurity model.
 
-    Both half-box fluctuation factors share the coarse field scaled by
-    2**(-1/2); their product is integrated jointly and written as
-    C * (1 + sum_i l'_i O_i).  C is the coefficient of the empty
-    monomial tensor identity; any spin-proportional or irrational part
-    of it is a hard error.  The numerators come out with total degree
-    at most 2, so dividing by C = 1 + O(l^2) as a truncated series
-    leaves them unchanged; the map is stored as the exact rational
-    pair (numerators, C).
+    Both half-box fluctuation factors share the coarse field (see
+    ``kondo_model`` for its rational split); their product is integrated
+    jointly over M2(Q) and written as C * (1 + sum_i l'_i O_i).  C is
+    the coefficient of the empty monomial; a coefficient of it that is
+    not a scalar matrix is a hard error.  The numerators come out with
+    total degree at most 2, so dividing by C = 1 + O(l^2) as a
+    truncated series leaves them unchanged; the map is stored as the
+    exact rational pair (numerators, C).
     """
     if spec.name != "kondo":
         raise ValueError("expected the kondo spec")
@@ -303,10 +287,9 @@ def rg_step_kondo(spec):
     craw = r.constant_term()
     cterms = {}
     for e, c in craw.terms.items():
-        if not c.spin_part_vanishes() or not c.identity_part().is_rational():
-            raise SymmetryViolation(
-                "normalization has spin or irrational components")
-        cterms[e] = c.identity_part().rational_part()
+        if not c.is_scalar():
+            raise SymmetryViolation("normalization has spin components")
+        cterms[e] = c.entries[0]
     cpoly = CouplingPolynomial(n, cterms)
     if cpoly.constant_coefficient() != 1:
         raise SymmetryViolation("free normalization differs from 1")
@@ -317,11 +300,8 @@ def rg_step_kondo(spec):
         raise SymmetryViolation(
             f"output leaves the operator basis "
             f"(stray masks {sorted(residual.terms)[:4]})")
-    numerators = []
-    for c in coeffs:
-        if not isinstance(c, CouplingPolynomial):
-            c = CouplingPolynomial.constant(n, c)
-        numerators.append(c.map_coefficients(_rational_value))
+    numerators = [c if isinstance(c, CouplingPolynomial)
+                  else CouplingPolynomial.constant(n, c) for c in coeffs]
 
     return BetaMap(
         model=spec.name,

@@ -1,16 +1,16 @@
 """Exact scalar rings for the symbolic RG engine.
 
-Three layers, each exact over arbitrary-precision rationals:
-
+* ``ImpurityElement``: the impurity spin algebra span{1, S1, S2, S3},
+  which is the full rational matrix ring M2(Q), stored in the
+  matrix-unit basis with E_ab E_cd = delta_bc E_ad.
 * ``GaussianRational``: a + b*i with Fraction components.
-* ``RootTwo``: x + y*sqrt(2) with GaussianRational components.  Needed
-  because the impurity-model rescaling multiplies fields by 2**(-1/2),
-  so intermediate coefficients carry half-integer powers of two.
-* ``ImpurityElement``: span{1, S1, S2, S3} over RootTwo, where the S
-  matrices multiply like Pauli matrices (S_i S_j = delta_ij + i eps_ijk S_k).
+* ``RootTwo``: x + y*sqrt(2) with GaussianRational components.
 
-Plain ``int`` and ``fractions.Fraction`` interoperate with all three from
-either side, so polynomial code can stay ring-agnostic.
+The models use only ``ImpurityElement``; the other two stay importable
+for code outside the package that names them.  Plain ``int`` and
+``fractions.Fraction`` interoperate with all three from either side, so
+polynomial code can stay ring-agnostic, and an element equal to a
+Fraction hashes like it.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -222,7 +222,7 @@ class RootTwo:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -240,129 +240,136 @@ class RootTwo:
         return f"RootTwo({self.a!r}, {self.b!r})"
 
 
-_RT_ZERO = RootTwo()
-_RT_I = RootTwo(I_UNIT)
+_new = object.__new__
 
-# structure constants of S_i S_j = delta_ij * 1 + i * eps_ijk * S_k,
-# indexed 1..3; entry (i, j) -> (k, eps) for i != j
-_EPS = {
-    (1, 2): (3, 1), (2, 1): (3, -1),
-    (2, 3): (1, 1), (3, 2): (1, -1),
-    (3, 1): (2, 1), (1, 3): (2, -1),
-}
+
+def _element(entries):
+    x = _new(ImpurityElement)
+    x.entries = entries
+    return x
+
+
+# Most entries in the kondo step are zero; skipping them saves the
+# Fraction arithmetic, which dominates the cost of the ring.
+def _sum(x, y):
+    return x + y if x and y else x or y
+
+
+def _dot(x, y, z, w):
+    """x*y + z*w, skipping products with a zero factor."""
+    if x and y:
+        return x * y + z * w if z and w else x * y
+    return z * w if z and w else _ZERO_FRACTION
+
+
+_ZEROS = (_ZERO_FRACTION,) * 4
 
 
 class ImpurityElement:
-    """Element c0*1 + c1*S1 + c2*S2 + c3*S3 of the impurity spin algebra."""
+    """Element [[a, b], [c, d]] = a E_11 + b E_12 + c E_21 + d E_22 of
+    M2(Q); index 1 is spin up, 2 is spin down.
 
-    __slots__ = ("c",)
+    In the Pauli basis the same element is c0 + c1 S1 + c2 S2 + c3 S3
+    with S_j the Pauli matrices, see ``pauli_components``.  A scalar
+    lifts to the scalar matrix.
+    """
 
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = tuple(x if isinstance(x, RootTwo) else RootTwo._lift(x)
-                       for x in (c0, c1, c2, c3))
-        if any(x is None for x in self.c):
-            raise TypeError("ImpurityElement coordinates must be scalars")
+    __slots__ = ("entries",)
+
+    def __init__(self, a, b, c, d):
+        self.entries = tuple(x if type(x) is Fraction else Fraction(x)
+                             for x in (a, b, c, d))
 
     @classmethod
-    def _lift(cls, x):
-        if isinstance(x, cls):
-            return x
-        s = RootTwo._lift(x)
-        return None if s is None else cls(s)
+    def scalar(cls, x):
+        x = Fraction(x)
+        return _element((x, _ZERO_FRACTION, _ZERO_FRACTION, x))
 
     @classmethod
     def one(cls):
-        return cls(1)
+        return cls.scalar(1)
 
     @classmethod
-    def spin(cls, j):
-        """The basis element S_j, j in {1, 2, 3}."""
-        coords = [0, 0, 0, 0]
-        coords[j] = 1
-        return cls(*coords)
+    def unit(cls, row, col):
+        """The matrix unit E_{row+1, col+1}, row and col in {0, 1}."""
+        entries = [_ZERO_FRACTION] * 4
+        entries[2 * row + col] = Fraction(1)
+        return _element(tuple(entries))
+
+    @staticmethod
+    def _lift(x):
+        """Entries of an element or of a lifted scalar; None otherwise."""
+        if type(x) is ImpurityElement:
+            return x.entries
+        if isinstance(x, (int, Fraction)):
+            if not x:
+                return _ZEROS
+            x = Fraction(x)
+            return (x, _ZERO_FRACTION, _ZERO_FRACTION, x)
+        return None
 
     def __add__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
+        y = ImpurityElement._lift(other)
+        if y is None:
             return NotImplemented
-        return ImpurityElement(*(a + b for a, b in zip(self.c, other.c)))
+        a, b, c, d = self.entries
+        return _element((_sum(a, y[0]), _sum(b, y[1]), _sum(c, y[2]),
+                         _sum(d, y[3])))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ImpurityElement(*(-a for a in self.c))
+        a, b, c, d = self.entries
+        return _element((-a, -b, -c, -d))
 
     def __sub__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
+        y = ImpurityElement._lift(other)
+        if y is None:
             return NotImplemented
-        return ImpurityElement(*(a - b for a, b in zip(self.c, other.c)))
+        a, b, c, d = self.entries
+        return _element((a - y[0], b - y[1], c - y[2], d - y[3]))
 
     def __rsub__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
+        if type(other) is not ImpurityElement:
+            if isinstance(other, (int, Fraction)):
+                # a scalar is central: scale the entries
+                return _element(tuple(x * other for x in self.entries))
             return NotImplemented
-        x, y = self.c, other.c
-        out = [_RT_ZERO, _RT_ZERO, _RT_ZERO, _RT_ZERO]
-        if x[0]:
-            for j in range(4):
-                if y[j]:
-                    out[j] = x[0] * y[j]
-        if y[0]:
-            for j in (1, 2, 3):
-                if x[j]:
-                    out[j] = out[j] + x[j] * y[0]
-        for j in (1, 2, 3):
-            if not x[j]:
-                continue
-            for l in (1, 2, 3):
-                if not y[l]:
-                    continue
-                p = x[j] * y[l]
-                if j == l:
-                    out[0] = out[0] + p
-                else:
-                    k, eps = _EPS[(j, l)]
-                    p = _RT_I * p
-                    out[k] = out[k] + (p if eps > 0 else -p)
-        return ImpurityElement(*out)
+        a, b, c, d = self.entries
+        e, f, g, h = other.entries
+        return _element((_dot(a, e, b, g), _dot(a, f, b, h),
+                         _dot(c, e, d, g), _dot(c, f, d, h)))
 
     def __rmul__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __truediv__(self, other):
-        # scalar division only; enough for normalisation by a constant
-        s = RootTwo._lift(other)
-        if s is None:
-            return NotImplemented
-        return ImpurityElement(*(a / s for a in self.c))
+        if isinstance(other, (int, Fraction)):
+            return _element(tuple(other * x for x in self.entries))
+        return NotImplemented
 
     def __eq__(self, other):
-        other = ImpurityElement._lift(other)
-        if other is None:
+        y = ImpurityElement._lift(other)
+        if y is None:
             return NotImplemented
-        return self.c == other.c
+        return self.entries == y
+
+    def is_scalar(self):
+        a, b, c, d = self.entries
+        return not b and not c and a == d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash(self.entries[0]) if self.is_scalar() \
+            else hash(self.entries)
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.entries)
 
-    def identity_part(self):
-        return self.c[0]
-
-    def spin_part_vanishes(self):
-        return not (self.c[1] or self.c[2] or self.c[3])
+    def pauli_components(self):
+        """(c0, c1, y, c3) with self = c0 + c1 S1 + i*y S2 + c3 S3; the
+        S2 coordinate i*(b - c)/2 is the only imaginary one."""
+        a, b, c, d = self.entries
+        return ((a + d) / 2, (b + c) / 2, (b - c) / 2, (a - d) / 2)
 
     def __repr__(self):
-        return f"ImpurityElement{self.c!r}"
+        return f"ImpurityElement{self.entries!r}"

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrg.couplings import MAX_EXPONENT, CouplingPolynomial
-from hfrg.scalars import ImpurityElement
+from hfrg.scalars import GaussianRational, ImpurityElement, RootTwo
 
 fractions_st = st.fractions(min_value=-12, max_value=12, max_denominator=5)
+
+# the matrix units E_12 and E_21 of the impurity ring: E12 E21 = E_11
+# and E21 E12 = E_22, so their products depend on operand order
+E12 = ImpurityElement(0, 1, 0, 0)
+E21 = ImpurityElement(0, 0, 1, 0)
 
 
 def polys(nvars=3, max_terms=6, max_exp=3):
@@ -204,24 +209,80 @@ def test_exponent_at_and_past_the_packing_limit():
         low * y
     with pytest.raises(OverflowError):
         x ** (MAX_EXPONENT + 1)
-    s1 = CouplingPolynomial(2, {(MAX_EXPONENT, 0): ImpurityElement.spin(1)})
+    e12 = CouplingPolynomial(2, {(MAX_EXPONENT, 0): E12})
     with pytest.raises(OverflowError):
-        s1 * x
+        e12 * x
 
 
 def test_impurity_coefficients_keep_operand_order():
-    s1, s2 = ImpurityElement.spin(1), ImpurityElement.spin(2)
-    assert s1 * s2 != s2 * s1
-    x = CouplingPolynomial.variable(2, 0, one=s1)
-    y = CouplingPolynomial.variable(2, 1, one=s2)
-    assert (x * y).terms == {(1, 1): s1 * s2}
-    assert (y * x).terms == {(1, 1): s2 * s1}
+    assert E12 * E21 != E21 * E12
+    x = CouplingPolynomial.variable(2, 0, one=E12)
+    y = CouplingPolynomial.variable(2, 1, one=E21)
+    assert (x * y).terms == {(1, 1): E12 * E21}
+    assert (y * x).terms == {(1, 1): E21 * E12}
     assert x * y != y * x
-    assert (x * s2).terms == {(1, 0): s1 * s2}
-    assert (s2 * x).terms == {(1, 0): s2 * s1}
+    assert (x * E21).terms == {(1, 0): E12 * E21}
+    assert (E21 * x).terms == {(1, 0): E21 * E12}
     half = CouplingPolynomial(2, {(0, 1): Fraction(1, 2)})
-    assert (x * half).terms == {(1, 1): s1 * Fraction(1, 2)}
-    assert (half * x + x * half).terms == {(1, 1): s1}
+    assert (x * half).terms == {(1, 1): E12 * Fraction(1, 2)}
+    assert (half * x + x * half).terms == {(1, 1): E12}
     assert not (x - x) and (x - x).terms == {}
-    # S1 S2 + S2 S1 = 0: the sum of both orders cancels exactly
-    assert not (x * y + y * x)
+    # E12 E12 = 0: a product of nonzero coefficients cancels exactly
+    assert not (x * x) and (x * x).terms == {}
+    # E12 E21 + E21 E12 = 1, equal to the rational polynomial
+    one = CouplingPolynomial(2, {(1, 1): Fraction(1)})
+    assert x * y + y * x == one and hash(x * y + y * x) == hash(one)
+
+
+# -- coefficients from several rings ---------------------------------------
+
+
+def embeddings(v):
+    """The rational v as an element of each scalar ring it lives in."""
+    out = [v, ImpurityElement.scalar(v), GaussianRational(v),
+           RootTwo(GaussianRational(v))]
+    if v.denominator == 1:
+        out.append(int(v))
+    return st.sampled_from(out)
+
+
+def off_rational():
+    """Ring elements equal to no Fraction."""
+    return st.one_of(
+        st.builds(ImpurityElement, fractions_st, fractions_st.filter(bool),
+                  fractions_st, fractions_st),
+        st.builds(GaussianRational, fractions_st, fractions_st.filter(bool)),
+        st.builds(RootTwo, st.just(0), fractions_st.filter(bool)))
+
+
+def mixed_coefficients():
+    return st.one_of(fractions_st.flatmap(embeddings), off_rational())
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_mixed_ring_equality_implies_equal_hash(data):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    base = data.draw(st.dictionaries(exps, mixed_coefficients(),
+                                     max_size=4))
+    # the same values, each re-embedded into a ring drawn at random
+    other = {e: data.draw(embeddings(c)) if isinstance(c, Fraction) else c
+             for e, c in base.items()}
+    p, q = CouplingPolynomial(2, base), CouplingPolynomial(2, other)
+    assert p == q
+    assert hash(p) == hash(q)
+    x, y = data.draw(mixed_coefficients()), data.draw(mixed_coefficients())
+    if x == y:
+        assert hash(x) == hash(y)
+    r = CouplingPolynomial(2, {(1, 0): x})
+    s = CouplingPolynomial(2, {(1, 0): y})
+    if r == s:
+        assert hash(r) == hash(s)
+
+
+def test_mixed_ring_hash_known_case():
+    p = CouplingPolynomial(1, {(0,): RootTwo(1)})
+    q = CouplingPolynomial(1, {(0,): Fraction(1)})
+    assert p == q and hash(p) == hash(q)
+    m = CouplingPolynomial(1, {(0,): ImpurityElement.scalar(Fraction(2, 3))})
+    assert m == Fraction(2, 3) * q and hash(m) == hash(Fraction(2, 3) * q)

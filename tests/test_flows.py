@@ -12,7 +12,7 @@ from hfrg.flows import (FixedPointReport, Trajectory, classify_power_counting,
                         find_fixed_points, iterate_flow, stability,
                         vector_field_grid)
 from hfrg.models import graphene_model, kondo_model
-from hfrg.rg import BetaMap, evaluate_beta, rg_step_graphene, rg_step_kondo
+from hfrg.rg import BetaMap, rg_step_graphene, rg_step_kondo
 
 G_BETA = rg_step_graphene(graphene_model())
 K_BETA = rg_step_kondo(kondo_model())
@@ -39,7 +39,7 @@ def test_trajectory_entries_are_consecutive_images():
     assert traj.points[0] == (0, (0.01, 0.0))
     for (h, cur), (h2, nxt) in zip(traj.points, traj.points[1:]):
         assert h2 == h - 1
-        assert nxt == tuple(evaluate_beta(K_BETA, cur))
+        assert nxt == tuple(K_BETA.evaluate(cur))
     assert traj.termination == "max steps"
     assert traj.n_steps == 50
 
@@ -105,7 +105,7 @@ def test_stable_eigendirections_contract_on_first_step():
             continue
         v = vecs[:, k].real
         v = v / np.max(np.abs(v)) * 1e-6
-        out = evaluate_beta(G_BETA, list(v))
+        out = G_BETA.evaluate(list(v))
         ratio = max(abs(x) for x in out) / np.max(np.abs(v))
         assert ratio == pytest.approx(abs(lam), rel=1e-4)
         checked += 1
@@ -118,7 +118,7 @@ def test_zero_hopping_slice_is_sourced_not_contracting():
     # [2, 0, -4, -2, 2, 6, 2]), so the slice expands on the first step
     # and ultimately leaves for the unit-hopping equilibrium
     start = [0.0] + [1e-6] * 6
-    first = evaluate_beta(G_BETA, start)
+    first = G_BETA.evaluate(start)
     assert abs(first[0]) > 1e-6
     traj = iterate_flow(G_BETA, start, 500)
     assert traj.termination == "converged"
@@ -239,7 +239,7 @@ def test_grid_rows_match_direct_evaluation():
             row = rows[k]
             k += 1
             assert row[0] == li and row[1] == lj
-            image = evaluate_beta(K_BETA, [li, lj])
+            image = K_BETA.evaluate([li, lj])
             di, dj = image[0] - li, image[1] - lj
             mag = math.hypot(di, dj)
             assert row[2] == di / mag and row[3] == dj / mag
@@ -262,7 +262,7 @@ def test_grid_slice_pins_off_plane_couplings():
                                 fixed_values=fixed)[0]]
     point = list(fixed)
     point[0], point[1] = 0.1, 0.0
-    image = evaluate_beta(G_BETA, point)
+    image = G_BETA.evaluate(point)
     di, dj = image[0] - 0.1, image[1] - 0.0
     mag = math.hypot(di, dj)
     assert row[2] == pytest.approx(di / mag)
@@ -317,8 +317,8 @@ def test_jacobian_matches_central_differences(beta, floor):
             lo = list(x)
             hi[j] += step
             lo[j] -= step
-            fhi = evaluate_beta(beta, hi)
-            flo = evaluate_beta(beta, lo)
+            fhi = beta.evaluate(hi)
+            flo = beta.evaluate(lo)
             for i in range(n):
                 fd = (fhi[i] - flo[i]) / (2 * step)
                 scale = max(1.0, abs(exact[i][j]))

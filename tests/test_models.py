@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from hfrg.grassmann import GeneratorId
+from hfrg.grassmann import GeneratorId, GrassmannPolynomial
 from hfrg.models import (LATTICE, bands, graphene_model, kondo_model, omega,
                          operator_fingerprint, project_onto_basis)
-from hfrg.scalars import ImpurityElement, RootTwo
+from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,14 +53,47 @@ def test_golden_operator_fingerprints():
         assert got == expected, f"{spec.name} operator forms drifted"
 
 
+# Pauli matrices over Python complex numbers, an oracle independent of
+# the model's Fierz construction; every value used below is exact
+PAULI = {1: ((0, 1), (1, 0)), 2: ((0, -1j), (1j, 0)), 3: ((1, 0), (0, -1))}
+SPINS = ("up", "dn")
+
+
+def _ext(spin, conj):
+    return GeneratorId("ext", 0, "", spin, conj)
+
+
+def _pauli_bilinear(j, scale):
+    """scale * sum_ss' psi+_s sigma_j[s,s'] psi-_s' with complex
+    coefficients."""
+    u = KONDO.universe
+    poly = GrassmannPolynomial()
+    for r, s in enumerate(SPINS):
+        for c, sp in enumerate(SPINS):
+            if PAULI[j][r][c]:
+                poly = poly + u.monomial([_ext(s, "+"), _ext(sp, "-")],
+                                         scale * PAULI[j][r][c])
+    return poly
+
+
 def test_kondo_exchange_components():
-    # expanding the spin-channel bilinear against the impurity spin
-    # basis gives six elementary monomial (x) axis terms
+    # the Fierz-built exchange equals sum_j S_j (x) 1/2 psi+ sigma_j psi-:
+    # on every monomial, its Pauli coordinates read back through
+    # pauli_components are the coefficients of the three bilinears
     exchange = dict(KONDO.basis.entries)["exchange"]
-    components = sum(
-        sum(1 for v in c.c[1:] if v) for c in exchange.terms.values())
+    bilinears = {j: _pauli_bilinear(j, 0.5) for j in PAULI}
+    masks = set().union(*(b.terms for b in bilinears.values()))
+    assert set(exchange.terms) == masks
+    components = 0
+    for mask, coeff in exchange.terms.items():
+        c0, c1, y, c3 = coeff.pauli_components()
+        assert c0 == 0
+        got = (complex(c1), 1j * complex(y), complex(c3))
+        expected = tuple(bilinears[j].coefficient(mask) for j in (1, 2, 3))
+        assert got == expected, mask
+        components += sum(1 for v in got if v)
+    # six elementary monomial (x) axis terms, as the Pauli form counts
     assert components == 6
-    assert all(not c.c[0] for c in exchange.terms.values())
 
 
 def test_kondo_double_occupancy_value():
@@ -70,7 +103,11 @@ def test_kondo_double_occupancy_value():
     assert len(docc.terms) == 1
     ((mask, coeff),) = docc.terms.items()
     assert bin(mask).count("1") == 4
-    assert coeff == ImpurityElement(-3)
+    assert coeff == -3 and coeff.is_scalar()
+    total = GrassmannPolynomial()
+    for j in PAULI:
+        total = total + _pauli_bilinear(j, 1)
+    assert (total * total).terms == {mask: -6}
 
 
 def test_graphene_propagator_cross_sublattice_only():
@@ -103,14 +140,19 @@ def test_field_images():
             1 << u.bit_of[partner]: Fraction(1),
             1 << bit: Fraction(1, 2),
         }
+    # the rational kondo split: coarse psi+ scaled by 1/2, psi- by 1
     ku = KONDO.universe
-    scale = RootTwo.half_power_of_two(-1)
+    scale = {"+": Fraction(1, 2), "-": Fraction(1)}
     for half, img in enumerate(KONDO.images):
+        assert set(img) == {ku.bit_of[g] for g in ku.gens
+                            if g.kind == "ext"}
         for bit, poly in img.items():
             g = ku.gens[bit]
             partner = GeneratorId("int", half, "", g.spin, g.conj)
-            assert poly.terms[1 << ku.bit_of[partner]] == Fraction(1)
-            assert poly.terms[1 << bit] == scale
+            assert poly.terms == {
+                1 << ku.bit_of[partner]: Fraction(1),
+                1 << bit: scale[g.conj],
+            }
 
 
 # -- projection ---------------------------------------------------------
@@ -129,7 +171,8 @@ def test_projection_is_identity_on_basis(spec):
 def test_projection_reports_off_span_residual():
     u = KONDO.universe
     stray = u.monomial([GeneratorId("ext", 0, "", "up", "+"),
-                        GeneratorId("ext", 0, "", "up", "-")], RootTwo(1))
+                        GeneratorId("ext", 0, "", "up", "-")],
+                       ImpurityElement.one())
     coeffs, residual = project_onto_basis(stray, KONDO.basis)
     assert residual.terms
     gu = GRAPHENE.universe

@@ -1,16 +1,21 @@
 """One-scale coupling maps: exact identities, goldens, linearization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hfrg.couplings import CouplingPolynomial
-from hfrg.grassmann import SingularNormalization
-from hfrg.models import KONDO_PROPAGATOR_VARIANTS, graphene_model, kondo_model
-from hfrg.rg import (BetaMap, SymmetryViolation, evaluate_beta, rg_step,
-                     rg_step_graphene, rg_step_kondo)
+from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
+                            SingularNormalization, bits_of)
+from hfrg.integration import integrate_polynomial
+from hfrg.models import (KONDO_PROPAGATOR_VARIANTS, OperatorBasis,
+                         graphene_model, kondo_model)
+from hfrg.rg import (BetaMap, SymmetryViolation, _formal_interaction,
+                     rg_step, rg_step_graphene, rg_step_kondo)
+from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,11 +66,44 @@ def test_kondo_rejects_miscalibrated_propagators():
             rg_step_kondo(kondo_model(propagator_variant=variant))
 
 
+def test_kondo_rejects_non_scalar_normalization():
+    # an exchange along E_11 alone squares to E_11 in the normalization
+    u = KONDO.universe
+    up = [GeneratorId("ext", 0, "", "up", c) for c in "+-"]
+    exchange = u.monomial(up, ImpurityElement.unit(0, 0))
+    spec = replace(KONDO, basis=OperatorBasis(
+        (("exchange", exchange), KONDO.basis.entries[1])))
+    with pytest.raises(SymmetryViolation, match="spin components"):
+        rg_step_kondo(spec)
+
+
+@pytest.mark.parametrize("variant", sorted(KONDO_PROPAGATOR_VARIANTS))
+def test_kondo_product_is_charge_neutral(variant):
+    # every coarse monomial of the integrated product carries as many
+    # psi+ as psi-, so scaling psi+ by 1/2 and psi- by 1 gives each
+    # monomial the same factor as 2**(-1/2) on every coarse generator
+    spec = kondo_model(propagator_variant=variant)
+    u = spec.universe
+    w = _formal_interaction(spec)
+    one = GrassmannPolynomial.scalar(
+        CouplingPolynomial.constant(2, ImpurityElement.one()))
+    f = one
+    for img in spec.images:
+        f = f * (one + w.substitute(img))
+    r = integrate_polynomial(u, spec.propagator, f)
+    assert len(r.terms) > 1
+    for mask in r.terms:
+        gens = [u.gens[b] for b in bits_of(mask)]
+        assert all(g.kind == "ext" for g in gens)
+        conjs = [g.conj for g in gens]
+        assert conjs.count("+") == conjs.count("-"), gens
+
+
 def test_kondo_exact_point():
     out = K_BETA.evaluate([Fraction(1, 10), Fraction(0)])
     assert out == [Fraction(18, 203), Fraction(1, 812)]
     assert K_BETA.denominator.evaluate([0.1, 0.0]) == pytest.approx(1.015)
-    floats = evaluate_beta(K_BETA, [0.1, 0.0])
+    floats = K_BETA.evaluate([0.1, 0.0])
     assert floats[0] == pytest.approx(0.0886699507, abs=1e-9)
     assert floats[1] == pytest.approx(0.0012315271, abs=1e-9)
 
@@ -134,7 +172,7 @@ def test_float_evaluation_tracks_exact(beta, span):
             # any fixed relative bound; the comparison needs footing
             continue
         exact = beta.evaluate(pt)
-        floats = evaluate_beta(beta, [float(x) for x in pt])
+        floats = beta.evaluate([float(x) for x in pt])
         for e, f in zip(exact, floats):
             assert abs(f - float(e)) <= 1e-13 * max(1.0, abs(float(e)))
 
@@ -166,7 +204,7 @@ def test_json_roundtrip():
         back = BetaMap.from_json(beta.to_json())
         assert back.to_json() == beta.to_json()
         pt = [0.05] * beta.n
-        assert evaluate_beta(back, pt) == evaluate_beta(beta, pt)
+        assert back.evaluate(pt) == beta.evaluate(pt)
 
 
 def test_dispatch_guards():

@@ -1,13 +1,12 @@
 """Scalar ring tests.
 
-The impurity algebra is checked against an independent oracle: exact
-2x2 matrices over GaussianRational, multiplied entrywise, with the
-basis elements mapped to the usual spin-1/2 matrices.
+The impurity ring M2(Q) is checked against a naive nested-list 2x2
+product over Fractions and against the Pauli multiplication table.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hfrg.scalars import GaussianRational, ImpurityElement, I_UNIT, RootTwo
 
@@ -20,59 +19,6 @@ def gaussians(draw=None):
 
 def root_twos():
     return st.builds(RootTwo, gaussians(), gaussians())
-
-
-def impurities():
-    return st.builds(ImpurityElement, root_twos(), root_twos(),
-                     root_twos(), root_twos())
-
-
-# ---------------------------------------------------------------- oracle
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-
-# 2x2 matrix images of 1, S1, S2, S3
-_MATS = [
-    ((ONE, ZERO), (ZERO, ONE)),
-    ((ZERO, ONE), (ONE, ZERO)),
-    ((ZERO, -I_UNIT), (I_UNIT, ZERO)),
-    ((ONE, ZERO), (ZERO, -ONE)),
-]
-
-
-def _mat_scale(s, m):
-    return tuple(tuple(s * x for x in row) for row in m)
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(2)), ZERO)
-              for j in range(2))
-        for i in range(2))
-
-
-def _embed(x):
-    """ImpurityElement with rational RootTwo coords -> exact 2x2 matrix.
-
-    sqrt(2) has no home in GaussianRational, so the oracle only accepts
-    elements whose coords have vanishing sqrt(2) part.
-    """
-    m = ((ZERO, ZERO), (ZERO, ZERO))
-    for coord, basis in zip(x.c, _MATS):
-        assert not coord.b
-        m = _mat_add(m, _mat_scale(coord.a, basis))
-    return m
-
-
-def impurities_rational():
-    rats = st.builds(RootTwo, gaussians())
-    return st.builds(ImpurityElement, rats, rats, rats, rats)
 
 
 # ---------------------------------------------------------------- tests
@@ -117,49 +63,103 @@ def test_root_two_half_powers():
     assert r(4).is_rational() and r(4).rational_part() == 4
 
 
-def test_pauli_multiplication_table():
-    one = ImpurityElement.one()
-    S = [None, ImpurityElement.spin(1), ImpurityElement.spin(2),
-         ImpurityElement.spin(3)]
-    i = RootTwo(I_UNIT)
-    eps = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-    for j in (1, 2, 3):
-        assert S[j] * S[j] == one
-        for k in (1, 2, 3):
-            if j == k:
-                continue
-            sign = 1 if (j, k) in eps else -1
-            l = eps.get((j, k)) or eps.get((k, j))
-            expected = (i * sign) * S[l]
-            assert S[j] * S[k] == expected, (j, k)
+# ------------------------------------------------------- the impurity ring
+
+# entries are zero often, so the ring's zero-skipping paths all run
+entries_st = st.one_of(st.just(Fraction(0)), fractions_st)
 
 
-@given(impurities_rational(), impurities_rational())
+def impurities():
+    return st.builds(ImpurityElement, entries_st, entries_st, entries_st,
+                     entries_st)
+
+
+def _as_matrix(x):
+    a, b, c, d = x.entries
+    return [[a, b], [c, d]]
+
+
+def _matmul(p, q):
+    """Naive nested-list 2x2 product over Fractions."""
+    return [[sum((p[i][k] * q[k][j] for k in range(2)), Fraction(0))
+             for j in range(2)] for i in range(2)]
+
+
+@given(impurities(), impurities())
+@settings(max_examples=60)
 def test_impurity_product_matches_matrix_oracle(x, y):
-    assert _embed(x * y) == _mat_mul(_embed(x), _embed(y))
+    assert _as_matrix(x * y) == _matmul(_as_matrix(x), _as_matrix(y))
+    assert all(type(v) is Fraction for v in (x * y).entries)
 
 
 @given(impurities(), impurities(), impurities())
+@settings(max_examples=60)
 def test_impurity_ring_axioms(x, y, z):
+    assert x * (y * z) == (x * y) * z
     assert (x + y) * z == x * z + y * z
     assert x * (y + z) == x * y + x * z
-    assert x * (y * z) == (x * y) * z
+    assert x + y == y + x and (x + y) - y == x
+    assert x - x == 0 and not (x - x) and bool(x) == any(x.entries)
+    assert -x + x == 0 and x * 1 == 1 * x == x and x * 0 == 0
+
+
+@given(impurities(), st.one_of(fractions_st, st.integers(-9, 9)))
+@settings(max_examples=60)
+def test_impurity_scalar_interop(x, s):
+    scaled = [[s * v for v in row] for row in _as_matrix(x)]
+    assert _as_matrix(x * s) == _as_matrix(s * x) == scaled
+    shifted = _as_matrix(x)
+    shifted[0][0] += s
+    shifted[1][1] += s
+    assert _as_matrix(x + s) == _as_matrix(s + x) == shifted
+    assert s - x == -(x - s) == s + (-x)
+    lifted = ImpurityElement.scalar(s)
+    assert lifted == s and s == lifted and hash(lifted) == hash(s)
+    assert lifted * x == x * lifted == x * s
+    assert (x == s) == (x == lifted)
+    assert all(type(v) is Fraction for v in (x * s).entries)
 
 
 @given(impurities())
-def test_impurity_scalar_interop(x):
-    assert 2 * x == x + x
-    assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
-    if x:
-        assert bool(x)
-    assert x - x == ImpurityElement()
-    assert not (x - x)
+@settings(max_examples=60)
+def test_pauli_components_round_trip(x):
+    c0, c1, y, c3 = x.pauli_components()
+    assert all(type(v) is Fraction for v in (c0, c1, y, c3))
+    # x = c0 + c1 S1 + (i y) S2 + c3 S3 with i S2 = [[0, 1], [-1, 0]]
+    back = c0 + c1 * S1 + y * I_S2 + c3 * S3
+    assert back == x
+
+
+S1 = ImpurityElement(0, 1, 1, 0)
+I_S2 = ImpurityElement(0, 1, -1, 0)     # i times the Pauli matrix S2
+S3 = ImpurityElement(1, 0, 0, -1)
+
+
+def test_pauli_multiplication_table():
+    # S_j S_k = delta_jk + i eps_jkl S_l, with S2 carried as i S2
+    assert S1 * S1 == S3 * S3 == 1
+    assert I_S2 * I_S2 == -1
+    assert S3 * S1 == I_S2 and S1 * S3 == -I_S2
+    assert S1 * I_S2 == -S3 and I_S2 * S1 == S3
+    assert I_S2 * S3 == -S1 and S3 * I_S2 == S1
+    assert [v.pauli_components() for v in (S1, I_S2, S3)] == [
+        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 def test_impurity_identity_extraction():
-    x = ImpurityElement(RootTwo(GaussianRational(Fraction(5, 3))), 0, 0, 0)
-    assert x.spin_part_vanishes()
-    assert x.identity_part().is_rational()
-    assert x.identity_part().rational_part() == Fraction(5, 3)
-    y = ImpurityElement(0, 1, 0, 0)
-    assert not y.spin_part_vanishes()
+    x = ImpurityElement.scalar(Fraction(5, 3))
+    assert x.is_scalar() and x.entries[0] == Fraction(5, 3)
+    assert ImpurityElement.one() == 1
+    assert not S3.is_scalar() and not S1.is_scalar()
+    assert not ImpurityElement(1, 0, 0, 2).is_scalar()
+
+
+def test_matrix_unit_products():
+    units = [ImpurityElement.unit(r, c) for r in (0, 1) for c in (0, 1)]
+    assert [u.entries for u in units] == [
+        tuple(Fraction(int(i == k)) for k in range(4)) for i in range(4)]
+    # E_ab E_cd = delta_bc E_ad
+    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for r2, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            prod = ImpurityElement.unit(r, c) * ImpurityElement.unit(r2, c2)
+            assert prod == (ImpurityElement.unit(r, c2) if c == r2 else 0)
