@@ -5,7 +5,7 @@ lattice band tables, all as plot-ready CSV or JSON.
 Run parameters come from an optional flat key=value config file plus
 flags; a flag always wins over the file.  Exit codes: 0 on success, 1
 when a verification suite fails, 2 on usage errors, 3 on malformed
-configuration.
+configuration.  Only the float commands and the thermal suite load NumPy.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
-from . import flows as _flows
-from . import fock as _fock
 from . import integration as _integration
 from .models import LATTICE, bands, graphene_model, kondo_model, omega
 from .rg import rg_step
@@ -54,17 +51,6 @@ def _fmt(x):
 
 def _beta_for(model_name):
     return rg_step(MODEL_BUILDERS[model_name]())
-
-
-def _thread_count():
-    raw = os.environ.get("HFRG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HFRG_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"HFRG_THREADS must be positive, got {n}")
-    return n
 
 
 def _json_text(payload):
@@ -111,12 +97,11 @@ class _Resolver:
     """Field lookup that prefers flags over config-file entries and
     reports the offending file line on parse failures."""
 
-    def __init__(self, args, fields=CONFIG_FIELDS):
+    def __init__(self, args):
         path = getattr(args, "config", None)
         self.path = path
         self.file_values = parse_config_file(path) if path else {}
         self.args = args
-        self.fields = fields
 
     def raw(self, field, default=None):
         flag = getattr(self.args, field.replace("-", "_"), None)
@@ -181,13 +166,16 @@ class _Resolver:
             self._fail(field, line, f"expected two integers, got {len(out)}")
         return out
 
-    def interval(self, field, default=None):
+    def interval(self, field, resolution, default=None):
         out = self.float_vector(field, length=None, default=None)
         if out is None:
             return default
         value, line = self.raw(field)
         if len(out) != 2 or not out[0] < out[1]:
             self._fail(field, line, "expected lo,hi with lo < hi")
+        if not math.isfinite((out[1] - out[0]) * (resolution - 1)):
+            # the ticks lo + (hi - lo) * k / (resolution - 1) would overflow
+            self._fail(field, line, "(hi - lo) * (resolution - 1) overflows")
         return out
 
     def model(self):
@@ -219,6 +207,7 @@ def cmd_beta(args):
 
 
 def cmd_flow(args):
+    from . import flows
     cfg = _Resolver(args)
     model = cfg.model()
     beta = _beta_for(model)
@@ -229,7 +218,7 @@ def cmd_flow(args):
     steps = cfg.integer("steps", default=500, minimum=1)
     fmt = cfg.string("format", default="csv", choices=("csv", "json"))
     output = cfg.string("output")
-    trajectory = _flows.iterate_flow(beta, start, steps)
+    trajectory = flows.iterate_flow(beta, start, steps)
     names = beta.coupling_names
     if fmt == "csv":
         lines = ["h," + ",".join(f"l{i}" for i in range(beta.n))]
@@ -274,12 +263,13 @@ def _parse_seed_list(text, width):
 
 
 def cmd_fixed_points(args):
+    from . import flows
     beta = _beta_for(args.model)
     if args.seeds is not None:
         seeds = _parse_seed_list(args.seeds, beta.n)
     else:
         seeds = DEFAULT_SEEDS[args.model]
-    results = _flows.find_fixed_points(beta, seeds)
+    results = flows.find_fixed_points(beta, seeds)
     payload = {
         "model": args.model,
         "fixed_points": [
@@ -299,6 +289,7 @@ def cmd_fixed_points(args):
 
 
 def cmd_vector_field(args):
+    from . import flows
     cfg = _Resolver(args)
     model = cfg.model()
     beta = _beta_for(model)
@@ -308,16 +299,15 @@ def cmd_vector_field(args):
         raise ConfigError(f"field 'axes': need two distinct indices "
                           f"below {beta.n}")
     default_i, default_j = DEFAULT_PLANE[model]
-    range_i = cfg.interval("range_i", default=default_i)
-    range_j = cfg.interval("range_j", default=default_j)
     resolution = cfg.integer("resolution", default=50, minimum=2)
+    range_i = cfg.interval("range_i", resolution, default=default_i)
+    range_j = cfg.interval("range_j", resolution, default=default_j)
     slice_values = cfg.float_vector("slice", length=beta.n)
     fmt = cfg.string("format", default="csv", choices=("csv", "json"))
     output = cfg.string("output")
-    grid = _flows.vector_field_grid(beta, axes[0], axes[1],
-                                    (range_i, range_j), resolution,
-                                    fixed_values=slice_values,
-                                    threads=_thread_count())
+    grid = flows.vector_field_grid(beta, axes[0], axes[1],
+                                   (range_i, range_j), resolution,
+                                   fixed_values=slice_values)
     if fmt == "csv":
         lines = [f"# model: {model}",
                  f"# axes: {axes[0]},{axes[1]}",
@@ -341,7 +331,8 @@ def cmd_vector_field(args):
 def cmd_verify(args):
     records = []
     if args.suite in ("fock", "all"):
-        records.extend(_fock.verify_lemmas())
+        from . import fock
+        records.extend(fock.verify_lemmas())
     if args.suite in ("integration", "all"):
         records.extend(_integration.verify_identities())
     _write_text(args.output, _json_text(records))
@@ -354,8 +345,8 @@ def cmd_verify(args):
 
 def cmd_lattice(args):
     cfg = _Resolver(args)
-    lo, hi = cfg.interval("range_i", default=(-math.pi, math.pi))
     resolution = cfg.integer("resolution", default=50, minimum=2)
+    lo, hi = cfg.interval("range_i", resolution, default=(-math.pi, math.pi))
     output = cfg.string("output")
     lines = [
         "# fermi_plus: " + ",".join(_fmt(v) for v in LATTICE.fermi_plus),

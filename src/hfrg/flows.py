@@ -226,18 +226,17 @@ def classify_power_counting(replication, gamma, field_count):
     return exponent, kind
 
 
-def _grid_row(beta, axis_i, axis_j, base, li, lj):
-    x = list(base)
-    x[axis_i] = li
-    x[axis_j] = lj
+def _displacement_row(li, lj, den, num_i, num_j, p_i, p_j):
+    nan_row = (li, lj, 0.0, 0.0, float("nan"))
     try:
-        image = beta.evaluate(x)
-        di = image[axis_i] - li
-        dj = image[axis_j] - lj
-    except _NUMERIC_ERRORS:
-        return (li, lj, 0.0, 0.0, float("nan"))
+        if den == 0.0:
+            raise ZeroDivisionError
+        di = num_i / den ** p_i - li
+        dj = num_j / den ** p_j - lj
+    except (ZeroDivisionError, OverflowError):
+        return nan_row
     if not (math.isfinite(di) and math.isfinite(dj)):
-        return (li, lj, 0.0, 0.0, float("nan"))
+        return nan_row
     mag = math.hypot(di, dj)
     if mag == 0.0:
         return (li, lj, 0.0, 0.0, float("-inf"))
@@ -245,7 +244,7 @@ def _grid_row(beta, axis_i, axis_j, base, li, lj):
 
 
 def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
-                      fixed_values=None, threads=1):
+                      fixed_values=None):
     """Sample the one-step displacement in a coupling plane.
 
     Rows are (l_i, l_j, unit direction of the in-plane displacement,
@@ -254,6 +253,10 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
     (zeros by default).  A zero displacement yields direction (0, 0)
     with magnitude -inf; an undefined point (vanishing normalization)
     yields direction (0, 0) with magnitude nan.
+
+    One array pass over all cells evaluates only the denominator and
+    the two in-plane numerators; each row is then finished in Python
+    floats, so it has the bits a per-point ``beta.evaluate`` gives.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -266,15 +269,17 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
         raise ValueError(f"expected {n} fixed values, got {len(base)}")
     (i_lo, i_hi), (j_lo, j_hi) = ranges
 
-    def tick(lo, hi, k):
-        return lo + (hi - lo) * k / (resolution - 1)
+    def ticks(lo, hi):
+        return [lo + (hi - lo) * k / (resolution - 1)
+                for k in range(resolution)]
 
-    cells = [(tick(i_lo, i_hi, a), tick(j_lo, j_hi, b))
-             for a in range(resolution) for b in range(resolution)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda c: _grid_row(beta, axis_i, axis_j, base, *c), cells))
-    return [_grid_row(beta, axis_i, axis_j, base, li, lj)
-            for li, lj in cells]
+    cells = [(li, lj) for li in ticks(i_lo, i_hi) for lj in ticks(j_lo, j_hi)]
+    columns = list(base)
+    columns[axis_i], columns[axis_j] = np.array(cells).T
+    with np.errstate(all="ignore"):   # as silent as float arithmetic
+        values = beta.evaluate_columns(columns, (axis_i, axis_j))
+        dens, nums_i, nums_j = (np.broadcast_to(v, len(cells)).tolist()
+                                for v in values)
+    p_i, p_j = beta.denominator_powers[axis_i], beta.denominator_powers[axis_j]
+    return [_displacement_row(li, lj, den, ni, nj, p_i, p_j)
+            for (li, lj), den, ni, nj in zip(cells, dens, nums_i, nums_j)]

@@ -11,7 +11,6 @@ shares code with the symbolic integration layer.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 

@@ -53,10 +53,6 @@ class Universe:
     def n(self):
         return len(self.gens)
 
-    @property
-    def external_mask(self):
-        return ((1 << self.n) - 1) ^ self.internal_mask
-
     def monomial(self, gid_seq, coeff=Fraction(1)):
         return GrassmannPolynomial.monomial(
             [self.bit_of[g] for g in gid_seq], coeff)

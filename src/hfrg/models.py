@@ -424,9 +424,6 @@ class LatticeConstants:
     fermi_minus: tuple = (2 * math.pi / 3, -2 * math.pi / (3 * SQRT3))
     v_fermi: float = 1.5
 
-    def fermi_point(self, valley):
-        return self.fermi_plus if valley > 0 else self.fermi_minus
-
 
 LATTICE = LatticeConstants()
 

@@ -59,7 +59,8 @@ class BetaMap:
 
     def _power_table(self, values):
         """Shared table powers[i][k] = values[i]**k for the float path;
-        derivatives never exceed the originals' exponents."""
+        derivatives never exceed the originals' exponents.  A value may
+        be a float64 array (a grid column)."""
         if self._max_exps is None:
             mx = [0] * self.n
             for poly in (*self.numerators, self.denominator):
@@ -69,7 +70,10 @@ class BetaMap:
             self._max_exps = mx
         table = []
         for v, top in zip(values, self._max_exps):
-            v = float(v)
+            try:
+                v = float(v)
+            except TypeError:   # an array column stays an array
+                pass
             row = [1.0] * (top + 1)
             for k in range(1, top + 1):
                 row[k] = row[k - 1] * v
@@ -96,6 +100,14 @@ class BetaMap:
                 f"normalization vanishes at {values}")
         return [num.evaluate(values) / den ** p
                 for num, p in zip(self.numerators, self.denominator_powers)]
+
+    def evaluate_columns(self, columns, components):
+        """Denominator and numerators of ``components`` at ``columns``
+        (floats or float64 arrays), by the scalar path's arithmetic."""
+        powers = self._power_table(columns)
+        return (self.denominator.evaluate_float(powers),
+                *(self.numerators[c].evaluate_float(powers)
+                  for c in components))
 
     def _derivatives(self):
         if self._dnum is None:

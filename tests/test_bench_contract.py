@@ -15,6 +15,9 @@ if str(BENCH) not in sys.path:
 
 import spans  # noqa: E402
 
+from hfrg.models import kondo_model  # noqa: E402
+from hfrg.rg import rg_step  # noqa: E402
+
 
 def _bindings():
     """Every attribute of every hfrg module and class the tracer patches,
@@ -47,3 +50,16 @@ def test_installed_tracer_wraps_and_restores_every_target():
         assert after[key] is value, key
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original, attr
+
+
+def test_grid_work_stays_under_the_float_evaluation_span():
+    # the benchmark times grid sampling as flows.grid and its float
+    # work as couplings.evaluate_float; a grid makes one evaluation per
+    # polynomial it needs, not one per cell
+    beta = rg_step(kondo_model())
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.root():
+        spans.flows.vector_field_grid(beta, 0, 1,
+                                      ((-1.0, 0.5), (-0.1, 0.15)), 12)
+    assert any(span[1] == "flows.grid" for span in tracer.spans)
+    assert 0 < tracer.calls["couplings.evaluate_float"] < 10

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hfrg import cli
+from hfrg import cli, fock
 from hfrg.flows import vector_field_grid
 from hfrg.models import kondo_model
 from hfrg.rg import rg_step_kondo
@@ -156,16 +160,35 @@ def test_vector_field_csv_matches_library_grid(tmp_path):
         assert got == pytest.approx(row, abs=0.0)
 
 
-def test_vector_field_thread_count_from_environment(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    argv = ["vector-field", "--model", "kondo", "--resolution", "6"]
-    assert run(argv + ["--output", str(serial)]) == 0
-    monkeypatch.setenv("HFRG_THREADS", "3")
-    assert run(argv + ["--output", str(threaded)]) == 0
-    assert serial.read_text() == threaded.read_text()
-    monkeypatch.setenv("HFRG_THREADS", "soon")
+@pytest.mark.parametrize("command", [
+    ["lattice"], ["vector-field", "--model", "kondo"]])
+@pytest.mark.parametrize("window", [
+    # the width hi - lo overflows
+    "--range-i=-1e308,1e308",
+    # the width is finite, but (hi - lo) * k overflows at the last tick
+    "--range-i=-8e307,8e307",
+])
+def test_interval_whose_ticks_overflow_is_a_config_error(command, window,
+                                                         capsys):
+    argv = command + [window, "--resolution", "3"]
     assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "range_i" in captured.err
+
+
+def test_exact_commands_do_not_import_numpy():
+    code = ("import sys\n"
+            "import hfrg.cli\n"
+            "assert 'numpy' not in sys.modules, 'import hfrg.cli'\n"
+            "assert hfrg.cli.main(['beta', 'kondo']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'beta kondo'\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_vector_field_json_payload(tmp_path):
@@ -229,7 +252,7 @@ def test_verify_all_covers_both_suites(tmp_path):
 def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     bad = [{"lemma": "broken_fact", "tolerance": 0.0,
             "max_error": 1.0, "passed": False}]
-    monkeypatch.setattr(cli._fock, "verify_lemmas", lambda: bad)
+    monkeypatch.setattr(fock, "verify_lemmas", lambda: bad)
     assert run(["verify", "fock"]) == 1
     assert "broken_fact" in capsys.readouterr().err
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfrg.couplings import CouplingPolynomial
+from hfrg.grassmann import SingularNormalization
 from hfrg.flows import (FixedPointReport, Trajectory, classify_power_counting,
                         find_fixed_points, iterate_flow, stability,
                         vector_field_grid)
@@ -279,9 +281,83 @@ def test_grid_flow_points_at_stable_kondo_equilibrium():
     assert left[2] > 0 and right[2] < 0
 
 
-def test_grid_parallel_matches_serial():
-    args = (K_BETA, 0, 1, ((-1.0, 0.3), (-0.05, 0.1)), 4)
-    assert vector_field_grid(*args, threads=3) == vector_field_grid(*args)
+def reference_row(beta, axis_i, axis_j, base, li, lj):
+    """One grid row from a per-point evaluation of the whole map."""
+    x = list(base)
+    x[axis_i], x[axis_j] = li, lj
+    nan_row = (li, lj, 0.0, 0.0, float("nan"))
+    try:
+        image = beta.evaluate(x)
+    except (SingularNormalization, ZeroDivisionError, OverflowError):
+        return nan_row
+    di, dj = image[axis_i] - li, image[axis_j] - lj
+    if not (math.isfinite(di) and math.isfinite(dj)):
+        return nan_row
+    mag = math.hypot(di, dj)
+    if mag == 0.0:
+        return (li, lj, 0.0, 0.0, float("-inf"))
+    return (li, lj, di / mag, dj / mag, math.log10(mag))
+
+
+def reference_grid(beta, axis_i, axis_j, ranges, resolution, base):
+    (i_lo, i_hi), (j_lo, j_hi) = ranges
+    step = resolution - 1
+    return [reference_row(beta, axis_i, axis_j, base,
+                          i_lo + (i_hi - i_lo) * a / step,
+                          j_lo + (j_hi - j_lo) * b / step)
+            for a in range(resolution) for b in range(resolution)]
+
+
+def assert_rows_identical(rows, expected):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert repr(row) == repr(want)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_rows_are_bit_identical_to_per_point_evaluation(data):
+    beta = data.draw(st.sampled_from([G_BETA, K_BETA]))
+    axis_i, axis_j = data.draw(st.permutations(range(beta.n)))[:2]
+    coord = st.floats(-2.0, 2.0)
+    ranges = tuple(data.draw(st.tuples(coord, coord)) for _ in range(2))
+    resolution = data.draw(st.integers(2, 12))
+    base = data.draw(st.none() | st.lists(st.floats(-0.3, 0.3),
+                                          min_size=beta.n,
+                                          max_size=beta.n))
+    rows = vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
+                             fixed_values=base)
+    expected = reference_grid(beta, axis_i, axis_j, ranges, resolution,
+                              [0.0] * beta.n if base is None else base)
+    assert_rows_identical(rows, expected)
+
+
+def test_grid_equilibrium_rows_are_minus_infinity():
+    # (0, 0) and (1, 0) are equilibria of the honeycomb map
+    rows = vector_field_grid(G_BETA, 0, 1, ((0.0, 1.0), (0.0, 0.0)), 2)
+    assert rows == [(0.0, 0.0, 0.0, 0.0, float("-inf"))] * 2 \
+        + [(1.0, 0.0, 0.0, 0.0, float("-inf"))] * 2
+    assert_rows_identical(rows, reference_grid(
+        G_BETA, 0, 1, ((0.0, 1.0), (0.0, 0.0)), 2, [0.0] * 7))
+
+
+def test_grid_nan_rows_where_the_normalization_vanishes():
+    window = ((-1.5, -0.5), (-0.5, 0.5))
+    rows = vector_field_grid(G_BETA, 0, 1, window, 3)
+    # the normalization is (1 + l0)**4 + l1**2 on this plane
+    assert rows[4][:4] == (-1.0, 0.0, 0.0, 0.0)
+    assert math.isnan(rows[4][4])
+    assert sum(math.isnan(row[4]) for row in rows) == 1
+    assert_rows_identical(rows, reference_grid(G_BETA, 0, 1, window, 3,
+                                               [0.0] * 7))
+
+
+def test_grid_pinned_slice_is_bit_identical():
+    fixed = (0.0, 0.0, 0.03, -0.02, 0.04, 0.01, -0.05)
+    window = ((-0.5, 1.5), (-0.5, 0.5))
+    rows = vector_field_grid(G_BETA, 0, 1, window, 7, fixed_values=fixed)
+    assert_rows_identical(rows, reference_grid(G_BETA, 0, 1, window, 7,
+                                               fixed))
 
 
 def test_grid_validation():
