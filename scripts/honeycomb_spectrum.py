@@ -16,11 +16,11 @@ import numpy as np
 
 from hfrg.couplings import CouplingPolynomial
 from hfrg.models import graphene_model
-from hfrg.rg import rg_step_graphene
+from hfrg.rg import rg_step
 
 
 def main():
-    beta = rg_step_graphene(graphene_model())
+    beta = rg_step(graphene_model())
     n = beta.n
     zero = [Fraction(0)] * n
     e0 = [Fraction(1)] + [Fraction(0)] * (n - 1)

@@ -12,7 +12,7 @@ import argparse
 
 from hfrg.flows import find_fixed_points, iterate_flow
 from hfrg.models import kondo_model
-from hfrg.rg import rg_step_kondo
+from hfrg.rg import rg_step
 
 SEEDS = tuple((a / 2, b / 2) for a in range(-2, 3) for b in range(-2, 3))
 
@@ -26,7 +26,7 @@ def main():
                         help="starting quadratic couplings")
     args = parser.parse_args()
 
-    beta = rg_step_kondo(kondo_model())
+    beta = rg_step(kondo_model())
     reports = find_fixed_points(beta, SEEDS)
     targets = [r.location for r in reports]
     print("equilibria:")

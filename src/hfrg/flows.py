@@ -252,7 +252,8 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
     slowest.  Off-plane couplings are pinned to ``fixed_values``
     (zeros by default).  A zero displacement yields direction (0, 0)
     with magnitude -inf; an undefined point (vanishing normalization)
-    yields direction (0, 0) with magnitude nan.
+    yields direction (0, 0) with magnitude nan.  A window whose
+    endpoints or ticks are not finite raises ValueError.
 
     One array pass over all cells evaluates only the denominator and
     the two in-plane numerators; each row is then finished in Python
@@ -267,13 +268,12 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
                                                    for v in fixed_values]
     if len(base) != n:
         raise ValueError(f"expected {n} fixed values, got {len(base)}")
-    (i_lo, i_hi), (j_lo, j_hi) = ranges
-
-    def ticks(lo, hi):
-        return [lo + (hi - lo) * k / (resolution - 1)
-                for k in range(resolution)]
-
-    cells = [(li, lj) for li in ticks(i_lo, i_hi) for lj in ticks(j_lo, j_hi)]
+    ticks_i, ticks_j = ([lo + (hi - lo) * k / (resolution - 1)
+                         for k in range(resolution)] for lo, hi in ranges)
+    # the first tick involves both endpoints, so this covers them too
+    if not all(math.isfinite(t) for t in ticks_i + ticks_j):
+        raise ValueError("window endpoints and ticks must be finite")
+    cells = [(li, lj) for li in ticks_i for lj in ticks_j]
     columns = list(base)
     columns[axis_i], columns[axis_j] = np.array(cells).T
     with np.errstate(all="ignore"):   # as silent as float arithmetic

@@ -1,16 +1,24 @@
 """One symbolic renormalization-group step.
 
 Integrating out the fluctuation fields of one scale maps the coupling
-vector to an exact rational function of itself.  The result is kept as
-a :class:`BetaMap`: one numerator polynomial per coupling over a shared
-denominator (the free-energy normalization raised to a per-coupling
-power), all with exact rational coefficients.  Numeric evaluation is a
-separate compiled view of the same data.
+vector to an exact rational function of itself.  :func:`rg_step` runs
+the same stages for every model, driven by its ``ModelSpec``: combine
+the interaction's per-image factors, integrate, re-expand the coarse
+interaction degree by degree, and project onto the operator basis.
+The models differ only in ``spec.combination`` (exp and log, or a
+plain product) and ``spec.ring`` (rational or impurity coefficients).
+
+The result is kept as a :class:`BetaMap`: one numerator polynomial per
+coupling over a shared denominator (the free-energy normalization
+raised to a per-coupling power), all with exact rational coefficients.
+Numeric evaluation is a separate compiled view of the same data.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,25 +88,29 @@ class BetaMap:
             table.append(row)
         return table
 
-    def evaluate(self, values):
-        """Evaluate the map; exact on Fraction inputs, float on floats."""
+    def _at(self, values):
+        """Prologue of ``evaluate`` and ``jacobian``: check the length,
+        pick exact (Fraction) or float evaluation, and return (unbound
+        evaluator, its argument, denominator), raising if the
+        normalization vanishes.  A closure measured ~10% slower."""
         values = list(values)
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} couplings, got {len(values)}")
         if any(isinstance(v, float) for v in values):
-            powers = self._power_table(values)
-            den = self.denominator.evaluate_float(powers)
-            if den == 0.0:
-                raise SingularNormalization(
-                    f"normalization vanishes at {values}")
-            return [num.evaluate_float(powers) / den ** p
-                    for num, p in zip(self.numerators,
-                                      self.denominator_powers)]
-        den = self.denominator.evaluate(values)
+            ev, at = CouplingPolynomial.evaluate_float, \
+                self._power_table(values)
+        else:
+            ev, at = CouplingPolynomial.evaluate, values
+        den = ev(self.denominator, at)
         if not den:
             raise SingularNormalization(
                 f"normalization vanishes at {values}")
-        return [num.evaluate(values) / den ** p
+        return ev, at, den
+
+    def evaluate(self, values):
+        """Evaluate the map; exact on Fraction inputs, float on floats."""
+        ev, at, den = self._at(values)
+        return [ev(num, at) / den ** p
                 for num, p in zip(self.numerators, self.denominator_powers)]
 
     def evaluate_columns(self, columns, components):
@@ -119,38 +131,16 @@ class BetaMap:
 
     def jacobian(self, values):
         """d l'_i / d l_j by the quotient rule on the exact polynomials."""
-        values = list(values)
+        ev, at, den = self._at(values)
         dnum, dden = self._derivatives()
-        if any(isinstance(v, float) for v in values):
-            powers = self._power_table(values)
-            den = self.denominator.evaluate_float(powers)
-            if den == 0.0:
-                raise SingularNormalization(
-                    f"normalization vanishes at {values}")
-            dden_vals = [d.evaluate_float(powers) for d in dden]
-            rows = []
-            for i, (num, p) in enumerate(zip(self.numerators,
-                                             self.denominator_powers)):
-                nv = num.evaluate_float(powers)
-                scale = den ** (p + 1)
-                rows.append([(dnum[i][j].evaluate_float(powers) * den
-                              - nv * p * dden_vals[j]) / scale
-                             for j in range(self.n)])
-            return rows
-        den = self.denominator.evaluate(values)
-        if not den:
-            raise SingularNormalization(
-                f"normalization vanishes at {values}")
+        dden_vals = [ev(d, at) for d in dden]
         rows = []
-        for i, (num, p) in enumerate(zip(self.numerators,
-                                         self.denominator_powers)):
-            nv = num.evaluate(values)
-            row = []
-            for j in range(self.n):
-                row.append((dnum[i][j].evaluate(values) * den
-                            - nv * p * dden[j].evaluate(values))
-                           / den ** (p + 1))
-            rows.append(row)
+        for dnum_i, num, p in zip(dnum, self.numerators,
+                                  self.denominator_powers):
+            nv = ev(num, at)
+            scale = den ** (p + 1)
+            rows.append([(ev(dn, at) * den - nv * p * ddv) / scale
+                         for dn, ddv in zip(dnum_i, dden_vals)])
         return rows
 
     # -- serialization ---------------------------------------------------
@@ -201,55 +191,78 @@ def _formal_interaction(spec):
     return w
 
 
-def rg_step_graphene(spec):
-    """Integrate one scale of the honeycomb model.
+def _scalar_entry(c):
+    """A normalization coefficient over M2(Q), read as a rational."""
+    if not c.is_scalar():
+        raise SymmetryViolation("normalization has spin components")
+    return c.entries[0]
 
-    The effective interaction of the coarser scale is
-    8 * log( integral of exp(v) ) with the field split into fluctuation
-    plus half the coarse field.  The interaction is nilpotent over the
-    eight coarse generators, so exp is exact; exponentiating before
-    substituting equals substituting first (substitution is a ring
-    homomorphism, covered by a property test) and is much cheaper.
-    The log series is assembled per Grassmann degree with powers of the
-    constant term c0 kept as an explicit denominator, so every
-    numerator stays an exact rational polynomial.
+
+UNITS = {"rational": Fraction(1), "impurity": ImpurityElement.one()}
+
+
+def rg_step(spec):
+    """Integrate one scale of the model ``spec`` describes.
+
+    1. Combine: the per-image factor of the formal interaction
+       v = sum_i l_i O_i, exp(v) for ``combination`` "exp-log" and
+       1 + v for "product", is substituted with each field split of
+       ``spec.images`` and the factors are multiplied.  Substitution
+       is a ring homomorphism, so exponentiating before substituting
+       is exact and much cheaper.
+    2. Integrate out the fluctuation fields, leaving c0 + w.  The
+       normalization c0 must have rational coefficients (scalar
+       matrices over the ``impurity`` ring) and constant term 1.
+    3. Re-expand per Grassmann degree d over the denominator c0 ** p:
+       for "exp-log" replication * log(c0 + w), a log series with
+       p = d/2, so every numerator stays an exact polynomial; for
+       "product" w / c0, with p = 1 and multiplier 1.
+    4. Project each degree onto that degree's basis operators; any
+       residual raises :class:`SymmetryViolation`.
     """
-    if spec.name != "graphene":
-        raise ValueError("expected the graphene spec")
     n = spec.n_couplings
+    if spec.ring not in UNITS:
+        raise ValueError(f"unknown coefficient ring {spec.ring!r}")
+    one = CouplingPolynomial.constant(n, UNITS[spec.ring])
     v = _formal_interaction(spec)
-    one = CouplingPolynomial.constant(n, Fraction(1))
-    ev = exp_truncated(v, one=one)
-    w = integrate_polynomial(spec.universe, spec.propagator,
-                             ev.substitute(spec.images[0]))
+    if spec.combination == "exp-log":
+        factor = exp_truncated(v, one=one)
+        power, multiplier = (lambda d: d // 2), spec.replication
+    elif spec.combination == "product":
+        factor = GrassmannPolynomial.scalar(one) + v
+        power, multiplier = (lambda d: 1), 1
+    else:
+        raise ValueError(f"unknown combination {spec.combination!r}")
+    r = integrate_polynomial(
+        spec.universe, spec.propagator,
+        functools.reduce(operator.mul,
+                         (factor.substitute(img) for img in spec.images)))
 
-    c0 = w.constant_term()
+    craw = r.constant_term()
+    c0 = craw.map_coefficients(_scalar_entry) \
+        if spec.ring == "impurity" else craw
     if c0.constant_coefficient() != 1:
         raise SymmetryViolation("free normalization differs from 1")
-    wp = w - GrassmannPolynomial.scalar(c0)
-    powers = {1: wp}
-    degrees = sorted({p.max_degree() for p in spec.basis.polys})
-    max_k = degrees[-1] // 2
-    for k in range(2, max_k + 1):
-        powers[k] = powers[k - 1] * wp
+    w = r - GrassmannPolynomial.scalar(craw)
 
-    groups = {}
+    groups = {mask.bit_count(): [] for mask in w.terms}
     for i, poly in enumerate(spec.basis.polys):
         groups.setdefault(poly.max_degree(), []).append(i)
+    powers = {1: w}
+    for k in range(2, power(max(groups)) + 1):
+        powers[k] = powers[k - 1] * w
 
     numerators = [None] * n
     denom_powers = [0] * n
     for d, idxs in sorted(groups.items()):
-        p = d // 2
+        p = power(d)
         series = GrassmannPolynomial()
         for k in range(1, p + 1):
             part = powers[k].degree_part(d)
             if not part.terms:
                 continue
-            factor = (c0 ** (p - k)) \
-                * Fraction((-1) ** (k + 1) * spec.replication, k)
-            series = series + part.map_coefficients(
-                lambda q, f=factor: q * f)
+            scale = c0 ** (p - k) * Fraction((-1) ** (k + 1) * multiplier, k)
+            series = series + part.map_coefficients(lambda q, f=scale: q * f)
         coeffs, residual = project_onto_basis(
             series, [spec.basis.polys[i] for i in idxs])
         if residual.terms:
@@ -257,9 +270,8 @@ def rg_step_graphene(spec):
                 f"degree-{d} output leaves the operator basis "
                 f"(stray masks {sorted(residual.terms)[:4]})")
         for i, c in zip(idxs, coeffs):
-            if not isinstance(c, CouplingPolynomial):
-                c = CouplingPolynomial.constant(n, c)
-            numerators[i] = c
+            numerators[i] = c if isinstance(c, CouplingPolynomial) \
+                else CouplingPolynomial.constant(n, c)
             denom_powers[i] = p
 
     return BetaMap(
@@ -269,66 +281,5 @@ def rg_step_graphene(spec):
         denominator=c0,
         denominator_powers=tuple(denom_powers),
         constant_term=c0,
-        constant_multiplier=spec.replication,
+        constant_multiplier=multiplier,
     )
-
-
-def rg_step_kondo(spec):
-    """Integrate one scale of the impurity model.
-
-    Both half-box fluctuation factors share the coarse field (see
-    ``kondo_model`` for its rational split); their product is integrated
-    jointly over M2(Q) and written as C * (1 + sum_i l'_i O_i).  C is
-    the coefficient of the empty monomial; a coefficient of it that is
-    not a scalar matrix is a hard error.  The numerators come out with
-    total degree at most 2, so dividing by C = 1 + O(l^2) as a
-    truncated series leaves them unchanged; the map is stored as the
-    exact rational pair (numerators, C).
-    """
-    if spec.name != "kondo":
-        raise ValueError("expected the kondo spec")
-    n = spec.n_couplings
-    w = _formal_interaction(spec)
-    one = GrassmannPolynomial.scalar(
-        CouplingPolynomial.constant(n, ImpurityElement.one()))
-    f = one
-    for img in spec.images:
-        f = f * (one + w.substitute(img))
-    r = integrate_polynomial(spec.universe, spec.propagator, f)
-
-    craw = r.constant_term()
-    cterms = {}
-    for e, c in craw.terms.items():
-        if not c.is_scalar():
-            raise SymmetryViolation("normalization has spin components")
-        cterms[e] = c.entries[0]
-    cpoly = CouplingPolynomial(n, cterms)
-    if cpoly.constant_coefficient() != 1:
-        raise SymmetryViolation("free normalization differs from 1")
-
-    rest = r - GrassmannPolynomial.scalar(craw)
-    coeffs, residual = project_onto_basis(rest, spec.basis)
-    if residual.terms:
-        raise SymmetryViolation(
-            f"output leaves the operator basis "
-            f"(stray masks {sorted(residual.terms)[:4]})")
-    numerators = [c if isinstance(c, CouplingPolynomial)
-                  else CouplingPolynomial.constant(n, c) for c in coeffs]
-
-    return BetaMap(
-        model=spec.name,
-        coupling_names=spec.coupling_names,
-        numerators=tuple(numerators),
-        denominator=cpoly,
-        denominator_powers=(1,) * n,
-        constant_term=cpoly,
-        constant_multiplier=1,
-    )
-
-
-def rg_step(spec):
-    if spec.name == "graphene":
-        return rg_step_graphene(spec)
-    if spec.name == "kondo":
-        return rg_step_kondo(spec)
-    raise ValueError(f"unknown model {spec.name!r}")

@@ -28,14 +28,14 @@ from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
                               _invert_exact, berezin_reference_integral,
                               integrate_polynomial)
 from hfrg.models import graphene_model, kondo_model
-from hfrg.rg import rg_step_graphene, rg_step_kondo
+from hfrg.rg import rg_step
 
 README = Path(__file__).parent.parent / "README.md"
 
 GRAPHENE = graphene_model()
 KONDO = kondo_model()
-G_BETA = rg_step_graphene(GRAPHENE)
-K_BETA = rg_step_kondo(KONDO)
+G_BETA = rg_step(GRAPHENE)
+K_BETA = rg_step(KONDO)
 
 # 5x5 grid of small seeds around the origin; Newton from these finds
 # both equilibria of the impurity map and abandons the rest
@@ -142,7 +142,7 @@ def lines_with_flip(rows, resolution, axis, coord):
 
 def test_criterion_1_impurity_closed_form():
     t0 = time.perf_counter()
-    beta = rg_step_kondo(kondo_model())
+    beta = rg_step(kondo_model())
     elapsed = time.perf_counter() - t0
     c = CouplingPolynomial(2, {(0, 0): Fraction(1),
                                (2, 0): Fraction(3, 2),
@@ -254,7 +254,7 @@ def test_criterion_3_impurity_flow_dichotomy():
 
 def test_criterion_4_honeycomb_equilibria():
     t0 = time.perf_counter()
-    beta = rg_step_graphene(graphene_model())
+    beta = rg_step(graphene_model())
     elapsed = time.perf_counter() - t0
     zero7 = [Fraction(0)] * 7
     e0 = [Fraction(1)] + [Fraction(0)] * 6

@@ -12,7 +12,7 @@ import pytest
 from hfrg import cli, fock
 from hfrg.flows import vector_field_grid
 from hfrg.models import kondo_model
-from hfrg.rg import rg_step_kondo
+from hfrg.rg import rg_step
 
 KONDO_STAR = (-0.7807256660704317, 0.05292875274036917)
 
@@ -24,7 +24,7 @@ def run(argv):
 def test_beta_writes_exact_map_and_term_counts(tmp_path, capsys):
     out = tmp_path / "beta.json"
     assert run(["beta", "kondo", "--output", str(out)]) == 0
-    assert out.read_text() == rg_step_kondo(kondo_model()).to_json() + "\n"
+    assert out.read_text() == rg_step(kondo_model()).to_json() + "\n"
     counts = capsys.readouterr().out.splitlines()
     assert counts == [
         "l0: 3 terms",
@@ -152,7 +152,7 @@ def test_vector_field_csv_matches_library_grid(tmp_path):
     assert lines[0] == "# model: kondo"
     assert lines[1] == "# axes: 0,1"
     assert lines[2] == "li,lj,dir_i,dir_j,log10_mag"
-    beta = rg_step_kondo(kondo_model())
+    beta = rg_step(kondo_model())
     grid = vector_field_grid(beta, 0, 1, ((-0.5, 0.5), (-0.1, 0.1)), 5)
     assert len(lines) == 3 + len(grid)
     for line, row in zip(lines[3:], grid):

@@ -14,10 +14,10 @@ from hfrg.flows import (FixedPointReport, Trajectory, classify_power_counting,
                         find_fixed_points, iterate_flow, stability,
                         vector_field_grid)
 from hfrg.models import graphene_model, kondo_model
-from hfrg.rg import BetaMap, rg_step_graphene, rg_step_kondo
+from hfrg.rg import BetaMap, rg_step
 
-G_BETA = rg_step_graphene(graphene_model())
-K_BETA = rg_step_kondo(kondo_model())
+G_BETA = rg_step(graphene_model())
+K_BETA = rg_step(kondo_model())
 
 KONDO_L0_STAR = -0.7807256660704317
 KONDO_L1_STAR = 0.05292875274036917
@@ -368,6 +368,17 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         vector_field_grid(K_BETA, 0, 1, ((0, 1), (0, 1)), 2,
                           fixed_values=[0.0] * 3)
+
+
+@pytest.mark.parametrize("window", [
+    ((-8e307, 8e307), (0.0, 1.0)),      # finite ends, the width overflows
+    ((0.0, 1.0), (-math.inf, 0.0)),
+    ((math.nan, 1.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, math.nan)),
+], ids=["overflowing-width", "infinite-end", "nan-low", "nan-high"])
+def test_grid_rejects_non_finite_windows(window):
+    with pytest.raises(ValueError, match="finite"):
+        vector_field_grid(K_BETA, 0, 1, window, 3)
 
 
 # -- exact Jacobian against finite differences ----------------------------

@@ -13,16 +13,15 @@ from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
 from hfrg.integration import integrate_polynomial
 from hfrg.models import (KONDO_PROPAGATOR_VARIANTS, OperatorBasis,
                          graphene_model, kondo_model)
-from hfrg.rg import (BetaMap, SymmetryViolation, _formal_interaction,
-                     rg_step, rg_step_graphene, rg_step_kondo)
+from hfrg.rg import BetaMap, SymmetryViolation, _formal_interaction, rg_step
 from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
 
 GRAPHENE = graphene_model()
 KONDO = kondo_model()
-G_BETA = rg_step_graphene(GRAPHENE)
-K_BETA = rg_step_kondo(KONDO)
+G_BETA = rg_step(GRAPHENE)
+K_BETA = rg_step(KONDO)
 
 ZERO7 = [Fraction(0)] * 7
 E0 = [Fraction(1)] + [Fraction(0)] * 6
@@ -63,7 +62,7 @@ def test_kondo_rejects_miscalibrated_propagators():
         if variant == "cross_antisymmetric":
             continue
         with pytest.raises(SymmetryViolation):
-            rg_step_kondo(kondo_model(propagator_variant=variant))
+            rg_step(kondo_model(propagator_variant=variant))
 
 
 def test_kondo_rejects_non_scalar_normalization():
@@ -74,7 +73,7 @@ def test_kondo_rejects_non_scalar_normalization():
     spec = replace(KONDO, basis=OperatorBasis(
         (("exchange", exchange), KONDO.basis.entries[1])))
     with pytest.raises(SymmetryViolation, match="spin components"):
-        rg_step_kondo(spec)
+        rg_step(spec)
 
 
 @pytest.mark.parametrize("variant", sorted(KONDO_PROPAGATOR_VARIANTS))
@@ -188,7 +187,7 @@ def test_singular_normalization_raises():
 
 
 def test_step_is_deterministic():
-    again = rg_step_graphene(graphene_model())
+    again = rg_step(graphene_model())
     assert again.to_json() == G_BETA.to_json()
 
 
@@ -207,12 +206,30 @@ def test_json_roundtrip():
         assert back.evaluate(pt) == beta.evaluate(pt)
 
 
-def test_dispatch_guards():
-    assert rg_step(KONDO).to_json() == K_BETA.to_json()
-    with pytest.raises(ValueError):
-        rg_step_graphene(KONDO)
-    with pytest.raises(ValueError):
-        rg_step_kondo(GRAPHENE)
+def test_unknown_combination_raises():
+    with pytest.raises(ValueError, match="combination"):
+        rg_step(replace(GRAPHENE, combination="sum"))
+
+
+def test_graphene_residual_raises():
+    # without pair_hopping the degree-4 output has nowhere to go
+    keep = [i for i in range(GRAPHENE.n_couplings) if i != 4]
+    spec = replace(
+        GRAPHENE,
+        basis=OperatorBasis(tuple(GRAPHENE.basis.entries[i] for i in keep)),
+        coupling_names=tuple(GRAPHENE.coupling_names[i] for i in keep))
+    with pytest.raises(SymmetryViolation, match="degree-4"):
+        rg_step(spec)
+
+
+@pytest.mark.parametrize("beta", [G_BETA, K_BETA], ids=["graphene", "kondo"])
+@pytest.mark.parametrize("method", ["evaluate", "jacobian"])
+def test_wrong_length_vector_raises(beta, method):
+    for length in (1, beta.n - 1, beta.n + 1):
+        for value in (0.1, Fraction(1, 10)):
+            with pytest.raises(ValueError,
+                               match=f"expected {beta.n} couplings"):
+                getattr(beta, method)([value] * length)
 
 
 def test_graphene_term_count():
