@@ -1,21 +1,21 @@
 """Multivariate polynomials in the running couplings.
 
 ``CouplingPolynomial`` is a polynomial in ``nvars`` variables with
-coefficients from one of the exact scalar rings (Fraction by default).
-Zero coefficients are never stored, so ``bool(p)`` is the zero test and
-equality is structural.  These polynomials are themselves valid
-coefficients for Grassmann polynomials, which is how the RG step keeps
-the couplings symbolic.
+rational coefficients.  Zero coefficients are never stored, so
+``bool(p)`` is the zero test and equality is structural.  These
+polynomials are themselves valid coefficients for Grassmann
+polynomials, which is how the RG step keeps the couplings symbolic;
+the impurity model carries its spin in matrices whose entries are
+coupling polynomials (``hfrg.scalars.ImpurityElement``), never in the
+coefficients here.
 
 The storage follows the packed sparse polynomials of Monagan and
 Pearce.  A monomial is one int holding ``BITS`` bits per variable, with
 the first variable in the highest field, so packed keys sort like
-exponent tuples and adding two keys multiplies the monomials.  Rational
+exponent tuples and adding two keys multiplies the monomials.  The
 coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
-Other rings (the impurity matrices) keep their elements as the
-values and multiply in operand order.  ``terms`` is the exponent-tuple
-view, built on first access.
+``terms`` is the exponent-tuple view, built on first access.
 """
 
 from __future__ import annotations
@@ -69,37 +69,32 @@ def _accumulate(out, items):
 class CouplingPolynomial:
     """Polynomial over exponent tuples of fixed length ``nvars``."""
 
-    # _c maps packed keys to int numerators over the denominator _den,
-    # or, when _den is None, to ring elements
+    # _c maps packed keys to int numerators over the denominator _den
     __slots__ = ("nvars", "_c", "_den", "_terms", "_float_terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self._terms = None
         self._float_terms = None
-        items = []
+        fr = []
         if terms:
             for exps, c in terms.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent tuple length mismatch")
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} is not rational")
                 if c:
-                    items.append((_pack(exps), c))
-        if all(isinstance(c, (int, Fraction)) for _, c in items):
-            # over the lcm of reduced denominators the numerators share
-            # no factor with it, so the result is already in lowest terms
-            fr = [(k, Fraction(c)) for k, c in items]
-            den = lcm(*(f.denominator for _, f in fr))
-            self._den = den
-            self._c = {k: f.numerator * (den // f.denominator)
-                       for k, f in fr}
-        else:
-            self._den = None
-            self._c = dict(items)
+                    fr.append((_pack(exps), Fraction(c)))
+        # over the lcm of reduced denominators the numerators share
+        # no factor with it, so the result is already in lowest terms
+        den = lcm(*(f.denominator for _, f in fr))
+        self._den = den
+        self._c = {k: f.numerator * (den // f.denominator) for k, f in fr}
 
     @classmethod
     def _make(cls, nvars, c, den):
-        """Wrap packed terms without zeros; reduce rational ones."""
-        if den is not None and den != 1:
+        """Wrap packed numerators without zeros over ``den``, reduced."""
+        if den != 1:
             g = gcd(den, *c.values())
             if g != 1:
                 den //= g
@@ -112,26 +107,13 @@ class CouplingPolynomial:
         p._float_terms = None
         return p
 
-    def _values(self):
-        """Packed key -> coefficient as a ring element."""
-        den = self._den
-        if den is None:
-            return self._c
-        return {k: Fraction(v, den) for k, v in self._c.items()}
-
-    def _coefficient(self, key):
-        v = self._c.get(key)
-        if v is None:
-            return Fraction(0)
-        return v if self._den is None else Fraction(v, self._den)
-
     @property
     def terms(self):
         """Exponent tuple -> coefficient; read-only by convention."""
         t = self._terms
         if t is None:
-            n = self.nvars
-            t = {_unpack(k, n): c for k, c in self._values().items()}
+            n, den = self.nvars, self._den
+            t = {_unpack(k, n): Fraction(v, den) for k, v in self._c.items()}
             self._terms = t
         return t
 
@@ -142,10 +124,10 @@ class CouplingPolynomial:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, i, one=Fraction(1)):
+    def variable(cls, nvars, i):
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): one})
+        return cls(nvars, {tuple(exps): Fraction(1)})
 
     # -- ring operations ----------------------------------------------
 
@@ -155,13 +137,11 @@ class CouplingPolynomial:
 
     def __add__(self, other):
         if not isinstance(other, CouplingPolynomial):
-            return self + CouplingPolynomial.constant(self.nvars, other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CouplingPolynomial.constant(self.nvars, other)
         self._check(other)
         da, db = self._den, other._den
-        if da is None or db is None:
-            out = _accumulate(dict(self._values()),
-                              other._values().items())
-            return CouplingPolynomial._make(self.nvars, out, None)
         g = gcd(da, db)
         fa, fb = db // g, da // g
         out = {k: v * fa for k, v in self._c.items()}
@@ -175,41 +155,31 @@ class CouplingPolynomial:
             self.nvars, {k: -c for k, c in self._c.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CouplingPolynomial)
-                       else CouplingPolynomial.constant(self.nvars, -other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, s, left):
-        """Every coefficient times the scalar ``s``, on the given side."""
+    def _scaled(self, s):
+        """Every coefficient times the rational ``s``."""
+        if not isinstance(s, (int, Fraction)):
+            return NotImplemented
         if not s:
             return CouplingPolynomial(self.nvars)
-        if self._den is not None and isinstance(s, (int, Fraction)):
-            s = Fraction(s)
-            num = s.numerator
-            return CouplingPolynomial._make(
-                self.nvars, {k: v * num for k, v in self._c.items()},
-                self._den * s.denominator)
-        vals = self._values().items()
-        out = ({k: s * c for k, c in vals} if left
-               else {k: c * s for k, c in vals})
+        s = Fraction(s)
+        num = s.numerator
         return CouplingPolynomial._make(
-            self.nvars, {k: c for k, c in out.items() if c}, None)
+            self.nvars, {k: v * num for k, v in self._c.items()},
+            self._den * s.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, CouplingPolynomial):
-            # scalar from the coefficient ring, applied on the right
-            return self._scaled(other, left=False)
+            return self._scaled(other)
         self._check(other)
-        da, db = self._den, other._den
-        rational = da is not None and db is not None
-        a, b = (self._c, other._c) if rational else \
-            (self._values(), other._values())
         out = {}
         get = out.get
-        bi = list(b.items())
-        for k1, c1 in a.items():
+        bi = list(other._c.items())
+        for k1, c1 in self._c.items():
             for k2, c2 in bi:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
@@ -217,13 +187,12 @@ class CouplingPolynomial:
         if reduce(or_, out, 0) & _guard_mask(self.nvars):
             raise OverflowError(f"product exponent exceeds {MAX_EXPONENT}")
         return CouplingPolynomial._make(self.nvars, out,
-                                        da * db if rational else None)
+                                        self._den * other._den)
 
+    # its own function, not an alias of __mul__, so that a tracer
+    # wrapping both methods counts one product once
     def __rmul__(self, other):
-        # scalar on the left; coefficient rings may be noncommutative
-        if isinstance(other, CouplingPolynomial):
-            return NotImplemented
-        return self._scaled(other, left=True)
+        return self._scaled(other)
 
     def __truediv__(self, other):
         if isinstance(other, CouplingPolynomial):
@@ -231,11 +200,9 @@ class CouplingPolynomial:
                 raise ZeroDivisionError(
                     "polynomial division only by constants")
             other = other.constant_coefficient()
-        if self._den is not None and isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return CouplingPolynomial._make(
-            self.nvars, {k: c / other for k, c in self._values().items()},
-            None)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n):
         if n < 0:
@@ -257,14 +224,14 @@ class CouplingPolynomial:
             if self.is_constant():
                 return self.constant_coefficient() == other
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        if self._den is not None and other._den is not None:
-            return self._den == other._den and self._c == other._c
-        return self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._c == other._c)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if self.is_constant():
+            # equal to its constant coefficient, so it hashes like it
+            return hash(self.constant_coefficient())
+        return hash((self.nvars, self._den, frozenset(self._c.items())))
 
     # -- structure ----------------------------------------------------
 
@@ -272,13 +239,7 @@ class CouplingPolynomial:
         return not any(self._c)
 
     def constant_coefficient(self):
-        return self._coefficient(0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def linear_coefficient(self, j):
-        return self._coefficient(1 << (self.nvars - 1 - j) * BITS)
+        return Fraction(self._c.get(0, 0), self._den)
 
     def derivative(self, j):
         shift = (self.nvars - 1 - j) * BITS
@@ -290,10 +251,6 @@ class CouplingPolynomial:
                 out[k - unit] = c * e
         return CouplingPolynomial._make(self.nvars, out, self._den)
 
-    def map_coefficients(self, fn):
-        return CouplingPolynomial(
-            self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, values):
@@ -304,8 +261,7 @@ class CouplingPolynomial:
         """
         if len(values) != self.nvars:
             raise ValueError("value vector length mismatch")
-        items = [(e, c) for e, c in self.terms.items()]
-        return _horner(items, 0, self.nvars, values)
+        return _horner(list(self.terms.items()), 0, self.nvars, values)
 
     def max_exponents(self):
         """Largest exponent of each variable over all terms."""
@@ -318,7 +274,7 @@ class CouplingPolynomial:
 
     def evaluate_float(self, powers):
         """Evaluate against a precomputed power table with
-        powers[i][k] = values[i]**k; rational coefficients only.
+        powers[i][k] = values[i]**k.
 
         This is the hot path of grid sampling and flow iteration,
         where rebuilding variable powers per term would dominate.
@@ -339,14 +295,11 @@ class CouplingPolynomial:
             total += v
         return total
 
-    # -- serialization (rational coefficients only) --------------------
+    # -- serialization -------------------------------------------------
 
     def to_json_obj(self):
-        rows = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            f = Fraction(c) if not isinstance(c, Fraction) else c
-            rows.append([list(e), str(f.numerator), str(f.denominator)])
+        rows = [[list(e), str(c.numerator), str(c.denominator)]
+                for e, c in sorted(self.terms.items())]
         return {"nvars": self.nvars, "terms": rows}
 
     @classmethod

@@ -253,7 +253,8 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
     (zeros by default).  A zero displacement yields direction (0, 0)
     with magnitude -inf; an undefined point (vanishing normalization)
     yields direction (0, 0) with magnitude nan.  A window whose
-    endpoints or ticks are not finite raises ValueError.
+    endpoints or ticks are not finite, or a fixed value that is not,
+    raises ValueError.
 
     One array pass over all cells evaluates only the denominator and
     the two in-plane numerators; each row is then finished in Python
@@ -268,6 +269,8 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
                                                    for v in fixed_values]
     if len(base) != n:
         raise ValueError(f"expected {n} fixed values, got {len(base)}")
+    if not all(math.isfinite(v) for v in base):
+        raise ValueError("fixed values must be finite")
     ticks_i, ticks_j = ([lo + (hi - lo) * k / (resolution - 1)
                          for k in range(resolution)] for lo, hi in ranges)
     # the first tick involves both endpoints, so this covers them too

@@ -215,9 +215,6 @@ class GrassmannPolynomial:
     def is_even(self):
         return all(m.bit_count() % 2 == 0 for m in self.terms)
 
-    def map_coefficients(self, fn):
-        return GrassmannPolynomial({m: fn(c) for m, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "GrassmannPolynomial(0)"

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .couplings import CouplingPolynomial
 from .grassmann import GeneratorId, GrassmannPolynomial
 from .integration import PropagatorTable, Universe
 from .scalars import ImpurityElement
@@ -284,8 +283,6 @@ def _impurity_components(c):
 
 
 def _component(c, j):
-    if isinstance(c, CouplingPolynomial):
-        return c.map_coefficients(lambda v: _component(v, j))
     if isinstance(c, ImpurityElement):
         return c.entries[j]
     # a scalar is the scalar matrix: entries a and d
@@ -315,10 +312,11 @@ def _solve_square(a, b):
 def project_onto_basis(p, basis):
     """Exact decomposition p = sum_i x_i * basis_i + residual.
 
-    Coefficients may be plain scalars, impurity elements, or coupling
-    polynomials over either; an impurity coefficient contributes its
-    four matrix entries as coordinates.  The system is solved exactly
-    over the rationals, and the residual is returned, never dropped.
+    Coefficients may be rationals, coupling polynomials, or impurity
+    elements whose entries are either; an impurity coefficient
+    contributes its four matrix entries as coordinates.  The system is
+    solved exactly over the rationals, and the residual is returned,
+    never dropped.
     """
     polys = basis.polys if isinstance(basis, OperatorBasis) else tuple(basis)
     n = len(polys)
@@ -355,8 +353,7 @@ def project_onto_basis(p, basis):
 
     recon = GrassmannPolynomial()
     for xi, bp in zip(x, polys):
-        if xi:
-            recon = recon + bp.map_coefficients(lambda c, v=xi: v * c)
+        recon = recon + bp.left_scale(xi)
     residual = p - recon
     return x, residual
 

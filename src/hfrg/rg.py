@@ -185,17 +185,8 @@ def _formal_interaction(spec):
     n = spec.n_couplings
     w = GrassmannPolynomial()
     for i, poly in enumerate(spec.basis.polys):
-        exps = tuple(1 if j == i else 0 for j in range(n))
-        w = w + poly.map_coefficients(
-            lambda c, e=exps: CouplingPolynomial(n, {e: c}))
+        w = w + poly.scale(CouplingPolynomial.variable(n, i))
     return w
-
-
-def _scalar_entry(c):
-    """A normalization coefficient over M2(Q), read as a rational."""
-    if not c.is_scalar():
-        raise SymmetryViolation("normalization has spin components")
-    return c.entries[0]
 
 
 UNITS = {"rational": Fraction(1), "impurity": ImpurityElement.one()}
@@ -211,8 +202,8 @@ def rg_step(spec):
        is a ring homomorphism, so exponentiating before substituting
        is exact and much cheaper.
     2. Integrate out the fluctuation fields, leaving c0 + w.  The
-       normalization c0 must have rational coefficients (scalar
-       matrices over the ``impurity`` ring) and constant term 1.
+       normalization c0 must be a coupling polynomial (over the
+       ``impurity`` ring, a scalar matrix of one) with constant term 1.
     3. Re-expand per Grassmann degree d over the denominator c0 ** p:
        for "exp-log" replication * log(c0 + w), a log series with
        p = d/2, so every numerator stays an exact polynomial; for
@@ -223,7 +214,7 @@ def rg_step(spec):
     n = spec.n_couplings
     if spec.ring not in UNITS:
         raise ValueError(f"unknown coefficient ring {spec.ring!r}")
-    one = CouplingPolynomial.constant(n, UNITS[spec.ring])
+    one = UNITS[spec.ring] * CouplingPolynomial.constant(n, 1)
     v = _formal_interaction(spec)
     if spec.combination == "exp-log":
         factor = exp_truncated(v, one=one)
@@ -239,8 +230,11 @@ def rg_step(spec):
                          (factor.substitute(img) for img in spec.images)))
 
     craw = r.constant_term()
-    c0 = craw.map_coefficients(_scalar_entry) \
-        if spec.ring == "impurity" else craw
+    c0 = craw
+    if spec.ring == "impurity":
+        if not craw.is_scalar():
+            raise SymmetryViolation("normalization has spin components")
+        c0 = craw.entries[0]
     if c0.constant_coefficient() != 1:
         raise SymmetryViolation("free normalization differs from 1")
     w = r - GrassmannPolynomial.scalar(craw)
@@ -262,7 +256,7 @@ def rg_step(spec):
             if not part.terms:
                 continue
             scale = c0 ** (p - k) * Fraction((-1) ** (k + 1) * multiplier, k)
-            series = series + part.map_coefficients(lambda q, f=scale: q * f)
+            series = series + part.scale(scale)
         coeffs, residual = project_onto_basis(
             series, [spec.basis.polys[i] for i in idxs])
         if residual.terms:

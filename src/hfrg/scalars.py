@@ -1,8 +1,10 @@
 """Exact scalar rings for the symbolic RG engine.
 
 * ``ImpurityElement``: the impurity spin algebra span{1, S1, S2, S3},
-  which is the full rational matrix ring M2(Q), stored in the
-  matrix-unit basis with E_ab E_cd = delta_bc E_ad.
+  which is the full matrix ring M2(R), stored in the matrix-unit basis
+  with E_ab E_cd = delta_bc E_ad.  R is Q for the operator basis and
+  Q[l], the coupling polynomials, inside the RG step, so each entry is
+  a ``Fraction`` or a ``CouplingPolynomial``.
 * ``GaussianRational``: a + b*i with Fraction components.
 * ``RootTwo``: x + y*sqrt(2) with GaussianRational components.
 
@@ -10,12 +12,15 @@ The models use only ``ImpurityElement``; the other two stay importable
 for code outside the package that names them.  Plain ``int`` and
 ``fractions.Fraction`` interoperate with all three from either side, so
 polynomial code can stay ring-agnostic, and an element equal to a
-Fraction hashes like it.
+Fraction hashes like it.  Coupling polynomials are central scalars of
+``ImpurityElement`` as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .couplings import CouplingPolynomial
 
 
 def _as_fraction(x):
@@ -263,26 +268,30 @@ def _dot(x, y, z, w):
 
 
 _ZEROS = (_ZERO_FRACTION,) * 4
+# the scalars of M2(R): they commute with every entry
+_CENTRAL = (int, Fraction, CouplingPolynomial)
+_ENTRY = (Fraction, CouplingPolynomial)
 
 
 class ImpurityElement:
     """Element [[a, b], [c, d]] = a E_11 + b E_12 + c E_21 + d E_22 of
-    M2(Q); index 1 is spin up, 2 is spin down.
+    M2(R); index 1 is spin up, 2 is spin down.
 
     In the Pauli basis the same element is c0 + c1 S1 + c2 S2 + c3 S3
     with S_j the Pauli matrices, see ``pauli_components``.  A scalar
-    lifts to the scalar matrix.
+    (int, Fraction or CouplingPolynomial) lifts to the scalar matrix.
+    Products skip zero entries, and scaling leaves them as they are.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, a, b, c, d):
-        self.entries = tuple(x if type(x) is Fraction else Fraction(x)
+        self.entries = tuple(x if isinstance(x, _ENTRY) else Fraction(x)
                              for x in (a, b, c, d))
 
     @classmethod
     def scalar(cls, x):
-        x = Fraction(x)
+        x = x if isinstance(x, _ENTRY) else Fraction(x)
         return _element((x, _ZERO_FRACTION, _ZERO_FRACTION, x))
 
     @classmethod
@@ -301,10 +310,11 @@ class ImpurityElement:
         """Entries of an element or of a lifted scalar; None otherwise."""
         if type(x) is ImpurityElement:
             return x.entries
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, _CENTRAL):
             if not x:
                 return _ZEROS
-            x = Fraction(x)
+            if isinstance(x, int):
+                x = Fraction(x)
             return (x, _ZERO_FRACTION, _ZERO_FRACTION, x)
         return None
 
@@ -332,11 +342,14 @@ class ImpurityElement:
     def __rsub__(self, other):
         return -self + other
 
+    def _scaled(self, s):
+        """Every entry times the central scalar ``s``; zeros stay."""
+        return _element(tuple(x * s if x else x for x in self.entries))
+
     def __mul__(self, other):
         if type(other) is not ImpurityElement:
-            if isinstance(other, (int, Fraction)):
-                # a scalar is central: scale the entries
-                return _element(tuple(x * other for x in self.entries))
+            if isinstance(other, _CENTRAL):
+                return self._scaled(other)
             return NotImplemented
         a, b, c, d = self.entries
         e, f, g, h = other.entries
@@ -344,8 +357,8 @@ class ImpurityElement:
                          _dot(c, e, d, g), _dot(c, f, d, h)))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _element(tuple(other * x for x in self.entries))
+        if isinstance(other, _CENTRAL):
+            return self._scaled(other)
         return NotImplemented
 
     def __eq__(self, other):

@@ -15,6 +15,7 @@ if str(BENCH) not in sys.path:
 
 import spans  # noqa: E402
 
+from hfrg.couplings import CouplingPolynomial  # noqa: E402
 from hfrg.models import kondo_model  # noqa: E402
 from hfrg.rg import rg_step  # noqa: E402
 
@@ -35,6 +36,23 @@ def test_every_trace_target_exists_on_its_owner():
     for name, owner, attr, _keep, _counter in spans.TARGETS:
         assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr}"
         assert callable(owner.__dict__[attr]), f"{name}: {attr}"
+
+
+def test_trace_targets_are_distinct_functions():
+    # an alias such as __rmul__ = __mul__ would be wrapped twice, once
+    # per target, so each call through it would count twice
+    originals = [owner.__dict__[attr]
+                 for _, owner, attr, _, _ in spans.TARGETS]
+    assert len({id(f) for f in originals}) == len(originals)
+
+
+def test_one_product_is_one_traced_call():
+    x = CouplingPolynomial.variable(2, 0)
+    y = CouplingPolynomial.variable(2, 1)
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.root():
+        x * y
+    assert tracer.calls["couplings.mul"] == 1
 
 
 def test_installed_tracer_wraps_and_restores_every_target():

@@ -381,6 +381,15 @@ def test_grid_rejects_non_finite_windows(window):
         vector_field_grid(K_BETA, 0, 1, window, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_fixed_values(bad):
+    # a pinned NaN would make every row look like the nan sentinel
+    fixed = [0.0, 0.0, bad, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="fixed values must be finite"):
+        vector_field_grid(G_BETA, 0, 1, ((0.0, 1.0), (0.0, 1.0)), 3,
+                          fixed_values=fixed)
+
+
 # -- exact Jacobian against finite differences ----------------------------
 
 

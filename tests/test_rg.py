@@ -13,7 +13,8 @@ from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
 from hfrg.integration import integrate_polynomial
 from hfrg.models import (KONDO_PROPAGATOR_VARIANTS, OperatorBasis,
                          graphene_model, kondo_model)
-from hfrg.rg import BetaMap, SymmetryViolation, _formal_interaction, rg_step
+from hfrg.rg import (UNITS, BetaMap, SymmetryViolation, _formal_interaction,
+                     rg_step)
 from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
@@ -85,7 +86,7 @@ def test_kondo_product_is_charge_neutral(variant):
     u = spec.universe
     w = _formal_interaction(spec)
     one = GrassmannPolynomial.scalar(
-        CouplingPolynomial.constant(2, ImpurityElement.one()))
+        UNITS[spec.ring] * CouplingPolynomial.constant(2, 1))
     f = one
     for img in spec.images:
         f = f * (one + w.substitute(img))

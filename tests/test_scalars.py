@@ -163,3 +163,48 @@ def test_matrix_unit_products():
         for r2, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
             prod = ImpurityElement.unit(r, c) * ImpurityElement.unit(r2, c2)
             assert prod == (ImpurityElement.unit(r, c2) if c == r2 else 0)
+
+
+# ------------------------------------------------- equality across rings
+
+
+def embeddings(v):
+    """The rational v as an element of each scalar ring it lives in."""
+    out = [v, ImpurityElement.scalar(v), GaussianRational(v),
+           RootTwo(GaussianRational(v))]
+    if v.denominator == 1:
+        out.append(int(v))
+    return st.sampled_from(out)
+
+
+def off_rational():
+    """Ring elements equal to no Fraction."""
+    return st.one_of(
+        st.builds(ImpurityElement, fractions_st, fractions_st.filter(bool),
+                  fractions_st, fractions_st),
+        st.builds(GaussianRational, fractions_st, fractions_st.filter(bool)),
+        st.builds(RootTwo, st.just(0), fractions_st.filter(bool)))
+
+
+def mixed_scalars():
+    return st.one_of(fractions_st.flatmap(embeddings), off_rational())
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_mixed_ring_equality_implies_equal_hash(data):
+    # each ring's image of a rational equals it from either side
+    v = data.draw(fractions_st)
+    x = data.draw(embeddings(v))
+    assert x == v and v == x and hash(x) == hash(v)
+    x, y = data.draw(mixed_scalars()), data.draw(mixed_scalars())
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_mixed_ring_hash_known_case():
+    assert RootTwo(1) == Fraction(1) and hash(RootTwo(1)) == hash(1)
+    m = ImpurityElement.scalar(Fraction(2, 3))
+    assert m == Fraction(2, 3) and hash(m) == hash(Fraction(2, 3))
+    g = GaussianRational(Fraction(2, 3))
+    assert g == Fraction(2, 3) and hash(g) == hash(m)
