@@ -36,9 +36,9 @@ def main():
         shown = ", ".join(f"{m:.6g}" for m in moduli)
         print(f"spectrum moduli at {name:>11}: {shown}")
 
-    counts = [len(p.terms) for p in beta.numerators]
+    counts = [len(p) for p in beta.numerators]
     print(f"numerator monomials: {counts} (sum {sum(counts)})")
-    print(f"normalization monomials: {len(beta.denominator.terms)}, "
+    print(f"normalization monomials: {len(beta.denominator)}, "
           f"per-coordinate powers {beta.denominator_powers}")
 
     single = CouplingPolynomial(
@@ -46,10 +46,10 @@ def main():
     assert single * beta.denominator == beta.numerators[1]
     print("factorization: numerator[1] == (l1/2) * normalization, so the "
           "reduced map stores")
-    reduced = sum(counts) - len(beta.denominator.terms) + 1
+    reduced = sum(counts) - len(beta.denominator) + 1
     print(f"  {reduced} numerator monomials + "
-          f"{len(beta.denominator.terms)} shared normalization monomials "
-          f"= {reduced + len(beta.denominator.terms)}")
+          f"{len(beta.denominator)} shared normalization monomials "
+          f"= {reduced + len(beta.denominator)}")
 
 
 if __name__ == "__main__":

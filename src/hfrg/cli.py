@@ -192,9 +192,9 @@ class _Resolver:
 def cmd_beta(args):
     beta = _beta_for(args.model)
     text = beta.to_json() + "\n"
-    counts = [f"{name}: {len(poly.terms)} terms"
+    counts = [f"{name}: {len(poly)} terms"
               for name, poly in zip(beta.coupling_names, beta.numerators)]
-    counts.append(f"denominator: {len(beta.denominator.terms)} terms")
+    counts.append(f"denominator: {len(beta.denominator)} terms")
     counts.append(f"total: {beta.term_count} numerator terms")
     summary = "\n".join(counts) + "\n"
     if args.output is None:

@@ -15,13 +15,16 @@ the first variable in the highest field, so packed keys sort like
 exponent tuples and adding two keys multiplies the monomials.  The
 coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
-``terms`` is the exponent-tuple view, built on first access.
+One loop evaluates the packed terms, in floats or exactly.  ``terms``
+(exponent tuple -> Fraction) is a read-only view for readers, built on
+first access; no path of the package builds it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from math import gcd, lcm
 from operator import or_
 
@@ -42,12 +45,9 @@ def _pack(exps):
     return key
 
 
-def _unpack(key, nvars):
-    exps = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        exps[i] = key & _FIELD
-        key >>= BITS
-    return tuple(exps)
+def _shifts(nvars):
+    """Bit offset of each variable's field, first variable first."""
+    return [(nvars - 1 - i) * BITS for i in range(nvars)]
 
 
 def _guard_mask(nvars):
@@ -70,12 +70,12 @@ class CouplingPolynomial:
     """Polynomial over exponent tuples of fixed length ``nvars``."""
 
     # _c maps packed keys to int numerators over the denominator _den
-    __slots__ = ("nvars", "_c", "_den", "_terms", "_float_terms")
+    __slots__ = ("nvars", "_c", "_den", "_terms", "_compiled")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
         self._terms = None
-        self._float_terms = None
+        self._compiled = None
         fr = []
         if terms:
             for exps, c in terms.items():
@@ -104,7 +104,7 @@ class CouplingPolynomial:
         p._c = c
         p._den = den
         p._terms = None
-        p._float_terms = None
+        p._compiled = None
         return p
 
     @property
@@ -112,9 +112,7 @@ class CouplingPolynomial:
         """Exponent tuple -> coefficient; read-only by convention."""
         t = self._terms
         if t is None:
-            n, den = self.nvars, self._den
-            t = {_unpack(k, n): Fraction(v, den) for k, v in self._c.items()}
-            self._terms = t
+            t = self._terms = dict(self._sorted_terms())
         return t
 
     # -- constructors -------------------------------------------------
@@ -253,53 +251,61 @@ class CouplingPolynomial:
 
     # -- evaluation ----------------------------------------------------
 
-    def evaluate(self, values):
-        """Evaluate at a value vector via nested Horner recursion.
+    def __len__(self):
+        """Number of stored terms."""
+        return len(self._c)
 
-        Works for float or Fraction inputs; the arithmetic follows the
-        value type, so the exact path stays exact.
-        """
-        if len(values) != self.nvars:
-            raise ValueError("value vector length mismatch")
-        return _horner(list(self.terms.items()), 0, self.nvars, values)
+    def _compile(self):
+        """(float terms, exact terms, max exponents), built once.  A term
+        is ``num / den`` or the int ``num`` with the ``(i, k)`` pairs of
+        its nonzero exponents, in packed-key order, so a float sum does
+        not depend on construction history (fresh vs deserialized).
+        The float terms are allocated first and together: interleaved
+        with the exact ones, float Jacobians ran ~3% slower."""
+        shifts, den = list(enumerate(_shifts(self.nvars))), self._den
+        items = sorted(self._c.items())
+        floats = [(num / den, tuple((i, k) for i, s in shifts
+                                    if (k := key >> s & _FIELD)))
+                  for key, num in items]
+        exact = [(num, nonzero)
+                 for (_, num), (_, nonzero) in zip(items, floats)]
+        mx = [max((key >> s & _FIELD for key in self._c), default=0)
+              for _, s in shifts]
+        self._compiled = (floats, exact, mx)
+        return self._compiled
 
     def max_exponents(self):
         """Largest exponent of each variable over all terms."""
-        mx = [0] * self.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > mx[i]:
-                    mx[i] = k
-        return mx
+        return list((self._compiled or self._compile())[2])
+
+    def evaluate(self, values):
+        """Evaluate at a value vector: in floats if any value is a
+        float, else exactly, as a Fraction."""
+        if len(values) != self.nvars:
+            raise ValueError("value vector length mismatch")
+        floats, exact, mx = self._compiled or self._compile()
+        if any(map(isinstance, values, repeat(float))):
+            return _sum_terms(floats, power_table(values, mx, float), 0.0)
+        total = _sum_terms(exact, power_table(values, mx, Fraction), 0)
+        return Fraction(total, self._den)
 
     def evaluate_float(self, powers):
-        """Evaluate against a precomputed power table with
-        powers[i][k] = values[i]**k.
-
-        This is the hot path of grid sampling and flow iteration,
-        where rebuilding variable powers per term would dominate.
-        """
-        compiled = self._float_terms
-        if compiled is None:
-            # canonical term order keeps evaluation independent of
-            # construction history (fresh build vs deserialized)
-            compiled = [(float(c),
-                         tuple((i, k) for i, k in enumerate(e) if k))
-                        for e, c in sorted(self.terms.items())]
-            self._float_terms = compiled
-        total = 0.0
-        for c, nonzero in compiled:
-            v = c
-            for i, k in nonzero:
-                v *= powers[i][k]
-            total += v
-        return total
+        """Evaluate against a float ``power_table``, whose entries may
+        be float64 arrays: the hot path of grids, flows and Newton."""
+        return _sum_terms((self._compiled or self._compile())[0],
+                          powers, 0.0)
 
     # -- serialization -------------------------------------------------
 
+    def _sorted_terms(self):
+        """(exponent tuple, Fraction) pairs in exponent-tuple order."""
+        shifts, den = _shifts(self.nvars), self._den
+        return [(tuple(k >> s & _FIELD for s in shifts), Fraction(v, den))
+                for k, v in sorted(self._c.items())]
+
     def to_json_obj(self):
         rows = [[list(e), str(c.numerator), str(c.denominator)]
-                for e, c in sorted(self.terms.items())]
+                for e, c in self._sorted_terms()]
         return {"nvars": self.nvars, "terms": rows}
 
     @classmethod
@@ -310,33 +316,34 @@ class CouplingPolynomial:
         return cls(obj["nvars"], terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._c:
             return "CouplingPolynomial(0)"
-        bits = [f"{c}*x^{e}" for e, c in sorted(self.terms.items())]
+        bits = [f"{c}*x^{e}" for e, c in self._sorted_terms()]
         return "CouplingPolynomial(" + " + ".join(bits) + ")"
 
 
-def _horner(items, var, nvars, values):
-    """Horner evaluation, recursing one variable at a time."""
-    if var == nvars:
-        # all exponents consumed; items is [((), c)] or empty
-        total = 0
-        for _, c in items:
-            total = total + c
-        return total
-    by_power = {}
-    for e, c in items:
-        by_power.setdefault(e[0], []).append((e[1:], c))
-    x = values[var]
-    result = 0
-    prev = None
-    for p in sorted(by_power, reverse=True):
-        if prev is not None:
-            for _ in range(prev - p):
-                result = result * x
-        result = result + _horner(by_power[p], var + 1, nvars, values)
-        prev = p
-    if prev:
-        for _ in range(prev):
-            result = result * x
-    return result
+def power_table(values, tops, kind):
+    """Rows powers[i][k] = values[i]**k for 1 <= k <= tops[i], in
+    ``kind`` (float or Fraction) arithmetic; row[0] is unused.  A
+    float64 array value (a grid column) stays an array."""
+    table = []
+    for v, top in zip(values, tops):
+        try:
+            v = kind(v)
+        except TypeError:   # an array column stays an array
+            pass
+        row = [1, v]
+        for _ in range(top - 1):
+            row.append(row[-1] * v)
+        table.append(row)
+    return table
+
+
+def _sum_terms(terms, powers, total):
+    """Add each coefficient times its powers onto ``total``."""
+    for c, nonzero in terms:
+        v = c
+        for i, k in nonzero:
+            v *= powers[i][k]
+        total += v
+    return total

@@ -19,10 +19,11 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .couplings import CouplingPolynomial
+from .couplings import CouplingPolynomial, power_table
 from .grassmann import GrassmannPolynomial, SingularNormalization, exp_truncated
 from .integration import integrate_polynomial
 from .models import project_onto_basis
@@ -51,9 +52,6 @@ class BetaMap:
     denominator_powers: tuple
     constant_term: CouplingPolynomial
     constant_multiplier: int
-    _dnum: list = field(default=None, repr=False, compare=False)
-    _dden: list = field(default=None, repr=False, compare=False)
-    _max_exps: list = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -61,32 +59,27 @@ class BetaMap:
 
     @property
     def term_count(self):
-        return sum(len(p.terms) for p in self.numerators)
+        return sum(len(p) for p in self.numerators)
 
     # -- numeric views --------------------------------------------------
 
-    def _power_table(self, values):
-        """Shared table powers[i][k] = values[i]**k for the float path;
-        derivatives never exceed the originals' exponents.  A value may
-        be a float64 array (a grid column)."""
-        if self._max_exps is None:
-            mx = [0] * self.n
-            for poly in (*self.numerators, self.denominator):
-                for i, k in enumerate(poly.max_exponents()):
-                    if k > mx[i]:
-                        mx[i] = k
-            self._max_exps = mx
-        table = []
-        for v, top in zip(values, self._max_exps):
-            try:
-                v = float(v)
-            except TypeError:   # an array column stays an array
-                pass
-            row = [1.0] * (top + 1)
-            for k in range(1, top + 1):
-                row[k] = row[k - 1] * v
-            table.append(row)
-        return table
+    @functools.cached_property
+    def _max_exps(self):
+        """Tops of the one power table that every polynomial of the map
+        shares; derivatives never exceed the originals' exponents."""
+        mx = [0] * self.n
+        for poly in (*self.numerators, self.denominator):
+            mx = list(map(max, mx, poly.max_exponents()))
+        return mx
+
+    @functools.cached_property
+    def _dnum(self):
+        return [[num.derivative(j) for j in range(self.n)]
+                for num in self.numerators]
+
+    @functools.cached_property
+    def _dden(self):
+        return [self.denominator.derivative(j) for j in range(self.n)]
 
     def _at(self, values):
         """Prologue of ``evaluate`` and ``jacobian``: check the length,
@@ -96,9 +89,9 @@ class BetaMap:
         values = list(values)
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} couplings, got {len(values)}")
-        if any(isinstance(v, float) for v in values):
+        if any(map(isinstance, values, repeat(float))):
             ev, at = CouplingPolynomial.evaluate_float, \
-                self._power_table(values)
+                power_table(values, self._max_exps, float)
         else:
             ev, at = CouplingPolynomial.evaluate, values
         den = ev(self.denominator, at)
@@ -116,26 +109,17 @@ class BetaMap:
     def evaluate_columns(self, columns, components):
         """Denominator and numerators of ``components`` at ``columns``
         (floats or float64 arrays), by the scalar path's arithmetic."""
-        powers = self._power_table(columns)
+        powers = power_table(columns, self._max_exps, float)
         return (self.denominator.evaluate_float(powers),
                 *(self.numerators[c].evaluate_float(powers)
                   for c in components))
 
-    def _derivatives(self):
-        if self._dnum is None:
-            self._dnum = [[num.derivative(j) for j in range(self.n)]
-                          for num in self.numerators]
-            self._dden = [self.denominator.derivative(j)
-                          for j in range(self.n)]
-        return self._dnum, self._dden
-
     def jacobian(self, values):
         """d l'_i / d l_j by the quotient rule on the exact polynomials."""
         ev, at, den = self._at(values)
-        dnum, dden = self._derivatives()
-        dden_vals = [ev(d, at) for d in dden]
+        dden_vals = [ev(d, at) for d in self._dden]
         rows = []
-        for dnum_i, num, p in zip(dnum, self.numerators,
+        for dnum_i, num, p in zip(self._dnum, self.numerators,
                                   self.denominator_powers):
             nv = ev(num, at)
             scale = den ** (p + 1)

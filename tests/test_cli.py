@@ -178,6 +178,24 @@ def test_interval_whose_ticks_overflow_is_a_config_error(command, window,
     assert "range_i" in captured.err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["flow", "--model", "kondo", "--start=nan,0"], "start"),
+    (["flow", "--model", "kondo", "--start=inf,0"], "start"),
+    (["vector-field", "--model", "kondo", "--slice=inf,0"], "slice"),
+    (["vector-field", "--model", "kondo", "--resolution", "1"],
+     "resolution"),
+    (["vector-field", "--model", "kondo", "--range-i=1,1"], "range_i"),
+    (["vector-field", "--model", "kondo", "--axes", "0,0"], "axes"),
+    (["vector-field", "--model", "kondo", "--axes", "0,1,2"], "axes"),
+    (["lattice", "--range-i=nan,1"], "range_i"),
+])
+def test_bad_flag_values_are_config_errors(argv, field, capsys):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: field {field!r}")
+
+
 def test_exact_commands_do_not_import_numpy():
     code = ("import sys\n"
             "import hfrg.cli\n"

@@ -2,12 +2,18 @@
 packed integer core against a naive tuple-dict Fraction reference."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrg.couplings import MAX_EXPONENT, CouplingPolynomial
+from hfrg.flows import vector_field_grid
+from hfrg.models import graphene_model, kondo_model
+from hfrg.rg import BetaMap, rg_step
 from hfrg.scalars import ImpurityElement
+
+DATA = Path(__file__).parent / "data"
 
 fractions_st = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
@@ -23,13 +29,14 @@ def polys(nvars=3, max_terms=6, max_exp=3):
         lambda d: CouplingPolynomial(nvars, d))
 
 
-def naive_eval(p, values):
+def naive_eval(p, values, size=lambda term: term):
+    """Sum of size(term) over the terms at exact ``values``."""
     total = Fraction(0)
     for e, c in p.terms.items():
         term = c
         for x, k in zip(values, e):
-            term *= x ** k
-        total += term
+            term *= Fraction(x) ** k
+        total += size(term)
     return total
 
 
@@ -48,9 +55,19 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
 
 
-@given(polys(), st.tuples(fractions_st, fractions_st, fractions_st))
-def test_horner_matches_naive_eval(p, values):
-    assert p.evaluate(values) == naive_eval(p, values)
+@given(polys(), st.tuples(fractions_st, fractions_st, fractions_st),
+       st.tuples(*[st.integers(-12, 12)] * 3))
+def test_evaluate_matches_naive_eval(p, values, ints):
+    for exact in (values, ints):
+        got = p.evaluate(exact)
+        assert type(got) is Fraction and got == naive_eval(p, exact)
+    # floats: within 1e-12 of the exact value at the same float inputs,
+    # relative to the sum of the terms' magnitudes
+    floats = [float(v) for v in values]
+    got = p.evaluate(floats)
+    assert type(got) is float
+    assert abs(Fraction(got) - naive_eval(p, floats)) <= \
+        Fraction(1, 10 ** 12) * naive_eval(p, floats, size=abs)
 
 
 @given(polys(), polys(), st.integers(0, 2))
@@ -77,6 +94,37 @@ def test_power_and_structure():
     c = CouplingPolynomial.constant(2, Fraction(3, 7))
     assert c.is_constant() and c.constant_coefficient() == Fraction(3, 7)
     assert (p / Fraction(2)) * 2 == p
+
+
+@pytest.mark.parametrize("model", [graphene_model, kondo_model])
+def test_built_and_deserialized_maps_evaluate_bit_identically(model):
+    built = rg_step(model())
+    read = BetaMap.from_json(
+        (DATA / f"betamap_{built.model}.json").read_text())
+    for scale in (0.0, 0.05, -0.1, 0.3):
+        pt = [scale * (1 + i / 7) for i in range(built.n)]
+        assert repr(built.evaluate(pt)) == repr(read.evaluate(pt))
+        assert repr(built.jacobian(pt)) == repr(read.jacobian(pt))
+
+
+def test_evaluation_and_serialization_never_read_terms(monkeypatch):
+    beta = rg_step(kondo_model())
+    polys = (*beta.numerators, beta.denominator)
+
+    def unbuilt(self):
+        pytest.fail("a package path read CouplingPolynomial.terms")
+    monkeypatch.setattr(CouplingPolynomial, "terms", property(unbuilt))
+    for pt in ([Fraction(1, 10), Fraction(-1, 20)], [1, 0], [0.1, -0.05]):
+        beta.evaluate(pt)
+        beta.jacobian(pt)
+    vector_field_grid(beta, 0, 1, ((-1.0, 0.5), (-0.1, 0.15)), 3)
+    BetaMap.from_json(beta.to_json())
+    assert beta.term_count == sum(len(p) for p in beta.numerators) == 5
+    for p in polys:
+        repr(p)
+        p.max_exponents()
+        p.derivative(0).evaluate([0.5, 0.5])
+    assert [len(p) for p in polys] == [3, 2, 3]
 
 
 def test_float_evaluation_path():
@@ -133,7 +181,7 @@ def assert_matches(p, ref):
     """Same terms as the reference, coefficient values in lowest terms,
     and structurally equal (== and hash) to the polynomial built from
     the reference dict."""
-    assert p.terms == ref
+    assert p.terms == ref and len(p) == len(ref)
     assert all(type(c) is Fraction for c in p.terms.values())
     assert p.to_json_obj()["terms"] == [
         [list(e), str(ref[e].numerator), str(ref[e].denominator)]
