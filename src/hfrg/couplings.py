@@ -15,7 +15,9 @@ the first variable in the highest field, so packed keys sort like
 exponent tuples and adding two keys multiplies the monomials.  The
 coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
-One loop evaluates the packed terms, in floats or exactly.  ``terms``
+One loop evaluates the packed terms, in floats or exactly;
+``float_kernel`` unrolls it into straight-line code for one float
+point, with the same bits.  ``terms``
 (exponent tuple -> Fraction) is a read-only view for readers, built on
 first access; no path of the package builds it.
 """
@@ -34,6 +36,8 @@ from operator import or_
 BITS = 16
 MAX_EXPONENT = (1 << (BITS - 1)) - 1
 _FIELD = (1 << BITS) - 1
+# terms per statement of a generated float kernel
+_KERNEL_CHUNK = 128
 
 
 def _pack(exps):
@@ -283,17 +287,48 @@ class CouplingPolynomial:
         float, else exactly, as a Fraction."""
         if len(values) != self.nvars:
             raise ValueError("value vector length mismatch")
-        floats, exact, mx = self._compiled or self._compile()
+        floats, _, mx = self._compiled or self._compile()
         if any(map(isinstance, values, repeat(float))):
             return _sum_terms(floats, power_table(values, mx, float), 0.0)
-        total = _sum_terms(exact, power_table(values, mx, Fraction), 0)
-        return Fraction(total, self._den)
+        return self.evaluate_exact(power_table(values, mx, Fraction))
+
+    def evaluate_exact(self, powers):
+        """Evaluate exactly, as a Fraction, against a ``Fraction``
+        ``power_table`` that may be shared with other polynomials."""
+        exact = (self._compiled or self._compile())[1]
+        return Fraction(_sum_terms(exact, powers, 0), self._den)
 
     def evaluate_float(self, powers):
         """Evaluate against a float ``power_table``, whose entries may
-        be float64 arrays: the hot path of grids, flows and Newton."""
+        be float64 arrays: the grid's path, and the reference that
+        ``float_kernel`` reproduces."""
         return _sum_terms((self._compiled or self._compile())[0],
                           powers, 0.0)
+
+    def float_kernel(self):
+        """(function, argument names): ``evaluate_float`` at one point
+        as straight-line code.  The function takes the powers
+        ``x{i}_{k}`` = values[i]**k that the polynomial reads, in the
+        order of the names, and returns the same float bit for bit: its
+        body is ``0.0 + c * x.. * x.. + ...``, the products and sums of
+        ``_sum_terms`` in the same order.  The source holds only float
+        literals and generated names; long sums are split into
+        statements of ``_KERNEL_CHUNK`` terms, since the compiler
+        recurses once per ``+``."""
+        floats = (self._compiled or self._compile())[0]
+        names = [power_name(i, k) for i, k in
+                 sorted({pair for _, nonzero in floats for pair in nonzero})]
+        terms = [" * ".join([repr(c), *(power_name(i, k) for i, k in nonzero)])
+                 for c, nonzero in floats]
+        lines = [f"def kernel({', '.join(names)}):", "    t = 0.0"]
+        lines += ["    t = t + " + " + ".join(terms[at:at + _KERNEL_CHUNK])
+                  for at in range(0, len(terms), _KERNEL_CHUNK)]
+        lines.append("    return t")
+        namespace = {}
+        exec(compile("\n".join(lines), "<hfrg float kernel>", "exec"),
+             namespace)
+        # popped, so that no cycle through its globals keeps it alive
+        return namespace.pop("kernel"), names
 
     # -- serialization -------------------------------------------------
 
@@ -320,6 +355,11 @@ class CouplingPolynomial:
             return "CouplingPolynomial(0)"
         bits = [f"{c}*x^{e}" for e, c in self._sorted_terms()]
         return "CouplingPolynomial(" + " + ".join(bits) + ")"
+
+
+def power_name(i, k):
+    """Name of the local holding values[i]**k in a generated kernel."""
+    return f"x{i}_{k}"
 
 
 def power_table(values, tops, kind):

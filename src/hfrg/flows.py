@@ -9,6 +9,7 @@ layer only deals in ordinary dense vectors and matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ _NUMERIC_ERRORS = (SingularNormalization, ZeroDivisionError, OverflowError)
 
 
 def _inf_norm(v):
-    return max(abs(x) for x in v)
+    return max(map(abs, v))
 
 
 @dataclass(frozen=True)
@@ -90,20 +91,20 @@ def iterate_flow(beta, start, max_steps, converge_tol=CONVERGE_TOL,
     cur = tuple(float(x) for x in start)
     points = [(0, cur)]
     termination = "max steps"
-    for _ in range(max_steps):
+    for index in range(-1, -max_steps - 1, -1):
         try:
             nxt = tuple(beta.evaluate(cur))
         except _NUMERIC_ERRORS:
             termination = "diverged"
             break
-        if not all(math.isfinite(x) for x in nxt):
+        if not all(map(math.isfinite, nxt)):
             termination = "diverged"
             break
-        points.append((points[-1][0] - 1, nxt))
-        if _inf_norm(nxt) > diverge_cutoff:
+        points.append((index, nxt))
+        if max(map(abs, nxt)) > diverge_cutoff:
             termination = "diverged"
             break
-        if _inf_norm([a - b for a, b in zip(nxt, cur)]) < converge_tol:
+        if max(map(abs, map(operator.sub, nxt, cur))) < converge_tol:
             termination = "converged"
             cur = nxt
             break
@@ -148,7 +149,7 @@ def _newton(beta, seed, tol):
         f = _residual_vector(beta, x)
     except _NUMERIC_ERRORS:
         return None
-    if not all(math.isfinite(v) for v in f):
+    if not all(map(math.isfinite, f)):
         return None
     fnorm = _inf_norm(f)
     for _ in range(NEWTON_MAX_ITERS):
@@ -174,7 +175,7 @@ def _newton(beta, seed, tol):
             except _NUMERIC_ERRORS:
                 scale /= 2.0
                 continue
-            if all(math.isfinite(v) for v in fc) and _inf_norm(fc) < fnorm:
+            if all(map(math.isfinite, fc)) and _inf_norm(fc) < fnorm:
                 x, f, fnorm = cand, fc, _inf_norm(fc)
                 improved = True
                 break

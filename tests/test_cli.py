@@ -307,3 +307,26 @@ def test_flow_writes_to_stdout_without_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "h,l0,l1"
     assert len(lines) == 1 + 6 + 1
+
+
+def test_vector_field_at_the_smallest_resolution(capsys):
+    assert run(["vector-field", "--model", "kondo", "--resolution", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 4
+
+
+def test_flow_from_a_singular_start_diverges_at_once(capsys):
+    # l0 = -1 with the rest at zero makes the graphene normalization vanish
+    assert run(["flow", "--model", "graphene",
+                "--start=-1,0,0,0,0,0,0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# termination: diverged after 0 steps"
+
+
+def test_fixed_points_abandons_a_singular_seed(capsys):
+    assert run(["fixed-points", "graphene",
+                "--seeds=-1,0,0,0,0,0,0"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["fixed_points"] == []
+    assert obj["abandoned_seeds"] == [[-1.0] + [0.0] * 6]

@@ -1,13 +1,16 @@
 """One-scale coupling maps: exact identities, goldens, linearization."""
 
+import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hfrg.couplings import CouplingPolynomial
+from hfrg.couplings import CouplingPolynomial, power_table
 from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
                             SingularNormalization, bits_of)
 from hfrg.integration import integrate_polynomial
@@ -178,10 +181,88 @@ def test_float_evaluation_tracks_exact(beta, span):
 
 
 def test_singular_normalization_raises():
-    with pytest.raises(SingularNormalization):
-        G_BETA.evaluate([Fraction(-1)] + [Fraction(0)] * 6)
-    with pytest.raises(SingularNormalization):
-        G_BETA.jacobian([Fraction(-1)] + [Fraction(0)] * 6)
+    # exact, float (the generated kernels) and mixed int/float input
+    for point in ([Fraction(-1)] + [Fraction(0)] * 6, [-1.0] + [0.0] * 6,
+                  [-1.0] + [0] * 6):
+        with pytest.raises(SingularNormalization):
+            G_BETA.evaluate(point)
+        with pytest.raises(SingularNormalization):
+            G_BETA.jacobian(point)
+
+
+# -- float kernels against the per-term loop -----------------------------
+
+
+def loop_reference(beta, values, method):
+    """``evaluate`` or ``jacobian`` by ``evaluate_float`` over one float
+    ``power_table``, with the quotient assembled as the exact path does."""
+    dnum = [[num.derivative(j) for j in range(beta.n)]
+            for num in beta.numerators]
+    dden = [beta.denominator.derivative(j) for j in range(beta.n)]
+    tops = list(map(max, *(p.max_exponents()
+                           for p in (beta.denominator, *beta.numerators))))
+    powers = power_table(values, tops, float)
+    den = beta.denominator.evaluate_float(powers)
+    if not den:
+        raise SingularNormalization(values)
+    if method == "evaluate":
+        return [num.evaluate_float(powers) / den ** p
+                for num, p in zip(beta.numerators, beta.denominator_powers)]
+    dd = [d.evaluate_float(powers) for d in dden]
+    rows = []
+    for dn_i, num, p in zip(dnum, beta.numerators, beta.denominator_powers):
+        nv = num.evaluate_float(powers)
+        scale = den ** (p + 1)
+        rows.append([(dn.evaluate_float(powers) * den - nv * p * ddv) / scale
+                     for dn, ddv in zip(dn_i, dd)])
+    return rows
+
+
+def outcome(f, *args):
+    """repr of the result, which compares floats bit for bit, -0.0
+    apart from 0.0, and any NaN equal to any NaN; or the exception's
+    type."""
+    try:
+        return repr(f(*args))
+    except (SingularNormalization, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+COUPLING = st.one_of(
+    st.floats(-1.5, 1.5), st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, 1e40, -1e80, 1e160]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+# by name: a failing example's report spells out every argument, and
+# the repr of a whole map is too deep for hypothesis' patch writer
+@pytest.mark.parametrize("model", ["graphene", "kondo"])
+@given(values=st.lists(COUPLING, min_size=7, max_size=7))
+@example(values=[-1.0, 0, -0.0, 0.0, 0.0, 0, 0.0])   # graphene: d == 0
+@example(values=[1e30] + [0.0] * 6)   # graphene: d ** p overflows
+@example(values=[1e80] + [0.0] * 6)   # kondo: d ** 2 overflows
+@settings(max_examples=100, deadline=None)
+def test_float_kernels_match_the_per_term_loop(model, values):
+    beta = {"graphene": G_BETA, "kondo": K_BETA}[model]
+    values = [float(values[0]), *values[1:beta.n]]   # a float point
+    for method in ("evaluate", "jacobian"):
+        assert outcome(getattr(beta, method), values) == \
+            outcome(loop_reference, beta, values, method)
+
+
+def test_building_both_maps_kernels_stays_small():
+    # one compile per polynomial: one source for the whole graphene
+    # Jacobian peaked near 8 MB
+    fresh = [BetaMap.from_json(beta.to_json()) for beta in (G_BETA, K_BETA)]
+    tracemalloc.start()
+    try:
+        for beta in fresh:
+            beta.evaluate([0.1] * beta.n)
+            beta.jacobian([0.1] * beta.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # -- reproducibility -----------------------------------------------------
