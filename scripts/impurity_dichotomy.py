@@ -11,8 +11,7 @@ into the attracting non-trivial equilibrium in a few hundred steps.
 import argparse
 
 from hfrg.flows import find_fixed_points, iterate_flow
-from hfrg.models import kondo_model
-from hfrg.rg import rg_step
+from hfrg.rg import shipped_map
 
 SEEDS = tuple((a / 2, b / 2) for a in range(-2, 3) for b in range(-2, 3))
 
@@ -26,7 +25,7 @@ def main():
                         help="starting quadratic couplings")
     args = parser.parse_args()
 
-    beta = rg_step(kondo_model())
+    beta = shipped_map("kondo")
     reports = find_fixed_points(beta, SEEDS)
     targets = [r.location for r in reports]
     print("equilibria:")

@@ -6,6 +6,11 @@ Run parameters come from an optional flat key=value config file plus
 flags; a flag always wins over the file.  Exit codes: 0 on success, 1
 when a verification suite fails, 2 on usage errors, 3 on malformed
 configuration.  Only the float commands and the thermal suite load NumPy.
+
+``beta`` derives a model's exact map with ``rg_step``.  The float
+commands (``flow``, ``fixed-points``, ``vector-field``) read the same
+map as the package ships it, and ``verify maps`` derives both maps
+again and checks them against the shipped files.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 
 from . import integration as _integration
 from .models import LATTICE, bands, graphene_model, kondo_model, omega
-from .rg import rg_step
+from .rg import rg_step, shipped_map, verify_shipped_maps
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -47,10 +52,6 @@ class ConfigError(Exception):
 
 def _fmt(x):
     return f"{float(x):.17g}"
-
-
-def _beta_for(model_name):
-    return rg_step(MODEL_BUILDERS[model_name]())
 
 
 def _json_text(payload):
@@ -190,7 +191,7 @@ class _Resolver:
 
 
 def cmd_beta(args):
-    beta = _beta_for(args.model)
+    beta = rg_step(MODEL_BUILDERS[args.model]())
     text = beta.to_json() + "\n"
     counts = [f"{name}: {len(poly)} terms"
               for name, poly in zip(beta.coupling_names, beta.numerators)]
@@ -210,7 +211,7 @@ def cmd_flow(args):
     from . import flows
     cfg = _Resolver(args)
     model = cfg.model()
-    beta = _beta_for(model)
+    beta = shipped_map(model)
     start = cfg.float_vector("start", length=beta.n)
     if start is None:
         raise ConfigError("field 'start': required (initial couplings, "
@@ -264,7 +265,7 @@ def _parse_seed_list(text, width):
 
 def cmd_fixed_points(args):
     from . import flows
-    beta = _beta_for(args.model)
+    beta = shipped_map(args.model)
     if args.seeds is not None:
         seeds = _parse_seed_list(args.seeds, beta.n)
     else:
@@ -292,7 +293,7 @@ def cmd_vector_field(args):
     from . import flows
     cfg = _Resolver(args)
     model = cfg.model()
-    beta = _beta_for(model)
+    beta = shipped_map(model)
     axes = cfg.int_pair("axes", default=(0, 1))
     if not (0 <= axes[0] < beta.n and 0 <= axes[1] < beta.n) \
             or axes[0] == axes[1]:
@@ -335,6 +336,8 @@ def cmd_verify(args):
         records.extend(fock.verify_lemmas())
     if args.suite in ("integration", "all"):
         records.extend(_integration.verify_identities())
+    if args.suite == "maps":
+        records.extend(verify_shipped_maps(MODEL_BUILDERS))
     _write_text(args.output, _json_text(records))
     failed = [r["lemma"] for r in records if not r["passed"]]
     if failed:
@@ -413,9 +416,10 @@ def build_parser():
     p.add_argument("--output")
     p.set_defaults(func=cmd_vector_field)
 
-    p = sub.add_parser("verify", help="run the oracle suites and report "
-                                      "a pass/fail table")
-    p.add_argument("suite", choices=("all", "fock", "integration"))
+    p = sub.add_parser("verify", help="run the oracle suites, or check the "
+                                      "shipped maps, and report a "
+                                      "pass/fail table")
+    p.add_argument("suite", choices=("all", "fock", "integration", "maps"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 

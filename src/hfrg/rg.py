@@ -17,6 +17,12 @@ first use: one compiled function per polynomial and one per method that
 builds the powers and divides.  It repeats the per-term loop's float
 operations in the same order, so its values are bit-identical to that
 loop's.  Exact values and the grid's float64 columns run the loop.
+
+The step's output never changes, so the package ships each model's map
+as the JSON text ``rg_step`` writes (``data/betamap_<model>.json``).
+:func:`shipped_map` reads it in a small fraction of the time the
+graphene step takes; :func:`verify_shipped_maps` derives both again and
+compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from pathlib import Path
 
 from .couplings import CouplingPolynomial, power_name, power_table
 from .grassmann import GrassmannPolynomial, SingularNormalization, exp_truncated
@@ -348,3 +355,37 @@ def rg_step(spec):
         constant_term=c0,
         constant_multiplier=multiplier,
     )
+
+
+# ------------------------------------------------------- the shipped maps
+
+
+SHIPPED = Path(__file__).with_name("data")
+
+
+def _shipped_path(model):
+    return SHIPPED / f"betamap_{model}.json"
+
+
+def shipped_map(model):
+    """The exact map of ``model`` ("graphene" or "kondo"), read from
+    the JSON text of :func:`rg_step` that the package ships."""
+    return BetaMap.from_json(_shipped_path(model).read_text())
+
+
+def verify_shipped_maps(builders):
+    """Derive each map again, ``rg_step(build())`` for every ``model:
+    build`` of ``builders``, and compare its JSON text, as ``hfrg beta``
+    writes it, with the shipped file byte for byte.  Returns one
+    pass/fail record per model, named ``betamap_<model>``."""
+    records = []
+    for model, build in builders.items():
+        derived = (rg_step(build()).to_json() + "\n").encode()
+        same = derived == _shipped_path(model).read_bytes()
+        records.append({
+            "lemma": f"betamap_{model}",
+            "tolerance": 0.0,
+            "max_error": float(not same),
+            "passed": same,
+        })
+    return records

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from hfrg import cli, fock
+from hfrg import cli, fock, rg
 from hfrg.flows import vector_field_grid
 from hfrg.models import kondo_model
-from hfrg.rg import rg_step
+from hfrg.rg import rg_step, shipped_map
 
 KONDO_STAR = (-0.7807256660704317, 0.05292875274036917)
 
@@ -273,6 +273,69 @@ def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fock, "verify_lemmas", lambda: bad)
     assert run(["verify", "fock"]) == 1
     assert "broken_fact" in capsys.readouterr().err
+
+
+RECORD_KEYS = {"lemma", "tolerance", "max_error", "passed"}
+
+
+def test_verify_maps_checks_both_shipped_maps(capsys):
+    assert run(["verify", "maps"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["lemma"] for r in records] == ["betamap_graphene",
+                                             "betamap_kondo"]
+    assert all(r.keys() == RECORD_KEYS and r["passed"] for r in records)
+
+
+@pytest.mark.parametrize("model", ["graphene", "kondo"])
+def test_verify_maps_names_a_stale_ship(model, tmp_path, capsys,
+                                        monkeypatch):
+    for name in cli.MODEL_BUILDERS:
+        shipped = (rg.SHIPPED / f"betamap_{name}.json").read_text()
+        (tmp_path / f"betamap_{name}.json").write_text(shipped)
+    # a different map: every denominator raised to one more power
+    stale = shipped_map(model)
+    stale.denominator_powers = tuple(p + 1 for p in stale.denominator_powers)
+    (tmp_path / f"betamap_{model}.json").write_text(stale.to_json() + "\n")
+    monkeypatch.setattr(rg, "SHIPPED", tmp_path)
+    assert run(["verify", "maps"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"failed: betamap_{model}\n"
+    records = json.loads(captured.out)
+    assert [r["lemma"] for r in records if not r["passed"]] == \
+        [f"betamap_{model}"]
+
+
+FLOAT_COMMANDS = [
+    ["flow", "--model", "kondo", "--start=0.03,0.001", "--steps", "300"],
+    ["flow", "--model", "graphene", "--start=" + ",".join(["0.05"] * 7),
+     "--steps", "40", "--format", "json"],
+    ["fixed-points", "kondo"],
+    ["fixed-points", "graphene"],
+    ["vector-field", "--model", "kondo", "--resolution", "6"],
+    ["vector-field", "--model", "graphene", "--resolution", "6",
+     "--format", "json"],
+]
+
+
+def test_float_commands_read_the_shipped_maps_without_deriving(
+        capsys, monkeypatch):
+    def output(argv):
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    derived = {name: rg_step(build())
+               for name, build in cli.MODEL_BUILDERS.items()}
+    monkeypatch.setattr(cli, "shipped_map", derived.__getitem__)
+    expected = [output(argv) for argv in FLOAT_COMMANDS]
+    monkeypatch.undo()
+
+    def no_step(spec):
+        raise AssertionError(f"derived the {spec.name} map again")
+    monkeypatch.setattr(rg, "rg_step", no_step)
+    monkeypatch.setattr(cli, "rg_step", no_step)
+    for argv, (code, text) in zip(FLOAT_COMMANDS, expected):
+        assert code == 0, argv
+        assert output(argv) == (0, text), argv
 
 
 def test_lattice_band_table(tmp_path):

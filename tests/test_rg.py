@@ -16,8 +16,8 @@ from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
 from hfrg.integration import integrate_polynomial
 from hfrg.models import (KONDO_PROPAGATOR_VARIANTS, OperatorBasis,
                          graphene_model, kondo_model)
-from hfrg.rg import (UNITS, BetaMap, SymmetryViolation, _formal_interaction,
-                     rg_step)
+from hfrg.rg import (SHIPPED, UNITS, BetaMap, SymmetryViolation,
+                     _formal_interaction, rg_step, shipped_map)
 from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
@@ -278,6 +278,17 @@ def test_golden_beta_maps():
         expected = (DATA / f"betamap_{beta.model}.json").read_text()
         assert beta.to_json() + "\n" == expected, \
             f"{beta.model} map drifted from its committed form"
+
+
+def test_shipped_maps_are_the_step_and_the_goldens():
+    # the float commands read the shipped maps instead of deriving them,
+    # so a ship that falls behind the step must fail here
+    for beta in (G_BETA, K_BETA):
+        name = f"betamap_{beta.model}.json"
+        derived = (beta.to_json() + "\n").encode()
+        assert (SHIPPED / name).read_bytes() == derived, f"stale ship {name}"
+        assert (DATA / name).read_bytes() == derived, name
+        assert shipped_map(beta.model).to_json() == beta.to_json()
 
 
 def test_json_roundtrip():
