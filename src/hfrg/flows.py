@@ -77,13 +77,12 @@ class FixedPointResults(list):
         self.abandoned_seeds = tuple(abandoned)
 
 
-def iterate_flow(beta, start, max_steps, converge_tol=CONVERGE_TOL,
-                 diverge_cutoff=DIVERGE_CUTOFF):
+def iterate_flow(beta, start, max_steps):
     """Apply the map repeatedly from ``start``.
 
-    Stops early once the step shrinks below ``converge_tol`` in the
+    Stops early once the step shrinks below ``CONVERGE_TOL`` in the
     max norm (converged) or the iterate leaves the ball of radius
-    ``diverge_cutoff`` (diverged); a vanishing normalization or a
+    ``DIVERGE_CUTOFF`` (diverged); a vanishing normalization or a
     non-finite value also terminates as diverged rather than raising.
     """
     if max_steps < 1:
@@ -101,10 +100,10 @@ def iterate_flow(beta, start, max_steps, converge_tol=CONVERGE_TOL,
             termination = "diverged"
             break
         points.append((index, nxt))
-        if max(map(abs, nxt)) > diverge_cutoff:
+        if max(map(abs, nxt)) > DIVERGE_CUTOFF:
             termination = "diverged"
             break
-        if max(map(abs, map(operator.sub, nxt, cur))) < converge_tol:
+        if max(map(abs, map(operator.sub, nxt, cur))) < CONVERGE_TOL:
             termination = "converged"
             cur = nxt
             break
@@ -112,7 +111,7 @@ def iterate_flow(beta, start, max_steps, converge_tol=CONVERGE_TOL,
     return Trajectory(tuple(points), termination)
 
 
-def stability(beta, point, marginal_band=MARGINAL_BAND):
+def stability(beta, point):
     """Classify an equilibrium by the eigenvalue moduli of the exact
     Jacobian evaluated at ``point``."""
     loc = tuple(float(x) for x in point)
@@ -121,7 +120,7 @@ def stability(beta, point, marginal_band=MARGINAL_BAND):
     jac = np.array(beta.jacobian(loc), dtype=float)
     moduli = tuple(sorted((float(abs(z)) for z in np.linalg.eigvals(jac)),
                           reverse=True))
-    if any(abs(m - 1.0) <= marginal_band for m in moduli):
+    if any(abs(m - 1.0) <= MARGINAL_BAND for m in moduli):
         classification = "marginal-mixed"
     elif all(m < 1.0 for m in moduli):
         classification = "stable"
@@ -185,7 +184,7 @@ def _newton(beta, seed, tol):
     return tuple(x) if fnorm <= tol else None
 
 
-def find_fixed_points(beta, seeds, tol=1e-12, marginal_band=MARGINAL_BAND):
+def find_fixed_points(beta, seeds, tol=1e-12):
     """Newton-solve beta(x) = x from each seed with the exact Jacobian.
 
     Converged locations closer than the deduplication tolerance to an
@@ -204,7 +203,7 @@ def find_fixed_points(beta, seeds, tol=1e-12, marginal_band=MARGINAL_BAND):
         if any(_inf_norm([a - b for a, b in zip(location, r.location)])
                <= DEDUPE_TOL for r in reports):
             continue
-        reports.append(stability(beta, location, marginal_band))
+        reports.append(stability(beta, location))
     return FixedPointResults(reports, abandoned)
 
 
@@ -227,10 +226,12 @@ def classify_power_counting(replication, gamma, field_count):
     return exponent, kind
 
 
-def _displacement_row(li, lj, den, num_i, num_j, p_i, p_j):
+def _displacement_row(li, lj, den, num_i, num_j, p_i, p_j, p_max):
     nan_row = (li, lj, 0.0, 0.0, float("nan"))
     try:
-        if den == 0.0:
+        # a per-point evaluate divides every component by its den ** p,
+        # and the largest p (>= 1) underflows to 0 or overflows first
+        if den ** p_max == 0.0:
             raise ZeroDivisionError
         di = num_i / den ** p_i - li
         dj = num_j / den ** p_j - lj
@@ -252,7 +253,8 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
     log10 of its magnitude) in row-major order: the first axis varies
     slowest.  Off-plane couplings are pinned to ``fixed_values``
     (zeros by default).  A zero displacement yields direction (0, 0)
-    with magnitude -inf; an undefined point (vanishing normalization)
+    with magnitude -inf; an undefined point (vanishing normalization,
+    or a component's ``den ** p`` that underflows to 0 or overflows)
     yields direction (0, 0) with magnitude nan.  A window whose
     endpoints or ticks are not finite, or a fixed value that is not,
     raises ValueError.
@@ -284,6 +286,10 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
         values = beta.evaluate_columns(columns, (axis_i, axis_j))
         dens, nums_i, nums_j = (np.broadcast_to(v, len(cells)).tolist()
                                 for v in values)
-    p_i, p_j = beta.denominator_powers[axis_i], beta.denominator_powers[axis_j]
-    return [_displacement_row(li, lj, den, ni, nj, p_i, p_j)
+    # float exponents run the same pow() as the int ones of a per-point
+    # evaluate, without converting an int on every row
+    powers = beta.denominator_powers
+    p_i, p_j, p_max = map(float, (powers[axis_i], powers[axis_j],
+                                  max(powers)))
+    return [_displacement_row(li, lj, den, ni, nj, p_i, p_j, p_max)
             for (li, lj), den, ni, nj in zip(cells, dens, nums_i, nums_j)]

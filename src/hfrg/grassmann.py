@@ -237,17 +237,13 @@ class GrassmannPolynomial:
                     f"substitution image for generator {b} has an "
                     "even-degree term")
         out = GrassmannPolynomial()
-        cache = {}
         for mask, coeff in self.terms.items():
-            prod = cache.get(mask)
-            if prod is None:
-                prod = GrassmannPolynomial.scalar(Fraction(1))
-                for b in bits_of(mask):
-                    img = images.get(b)
-                    if img is None:
-                        img = GrassmannPolynomial({1 << b: Fraction(1)})
-                    prod = prod * img
-                cache[mask] = prod
+            prod = GrassmannPolynomial.scalar(Fraction(1))
+            for b in bits_of(mask):
+                img = images.get(b)
+                if img is None:
+                    img = GrassmannPolynomial({1 << b: Fraction(1)})
+                prod = prod * img
             out = out + prod.left_scale(coeff)
         return out
 

@@ -2,12 +2,16 @@
 
 Two independent routes compute the same functional:
 
-* ``integrate_polynomial``: pairing recursion.  The first internal
-  generator in a word is contracted against every later internal
-  generator of opposite conjugation; the sign is (-1)**(letters
-  strictly between the pair).  Orientation: the table entry g(m, p)
-  is the value of the integral of (minus before plus), so a plus
-  before a minus picks up a minus sign.
+* ``integrate_polynomial``: pairing recursion over the internal part
+  of each monomial.  ``Universe`` orders every external generator
+  before every internal one, so a canonical monomial is its external
+  letters followed by its internal letters, and integrating leaves
+  the external part in place with no extra sign.  The first internal
+  letter is contracted against every later internal letter of
+  opposite conjugation; the sign is (-1)**(internal letters strictly
+  between the pair).  Orientation: the table entry g(m, p) is the
+  value of the integral of (minus before plus), so a plus before a
+  minus picks up a minus sign.
 
 * ``berezin_reference_integral``: expands the Gaussian density
   det(g) * exp(-sum_kl inv(g)[k,l] plus_k minus_l), multiplies by the
@@ -34,7 +38,8 @@ class SingularPropagator(ValueError):
 
 
 class Universe:
-    """An ordered set of generators; bit i encodes the i-th generator."""
+    """An ordered set of generators; bit i encodes the i-th generator
+    in ``GeneratorId`` order, which puts every external one first."""
 
     def __init__(self, generators):
         gens = tuple(sorted(generators, key=GeneratorId.sort_key))
@@ -107,71 +112,51 @@ class PropagatorTable:
                 if g.kind == "int" and g.conj == "+"]
 
 
-def _word_integrals(word, internal_mask, get, cache):
-    """All pairings of the internal letters of a word.
-
-    Returns [(external_word, scalar)] with at most one entry, since
-    every pairing leaves the same external subsequence.
-    """
-    hit = cache.get(word)
+def _pairing_value(mask, get, cache):
+    """Sum over all complete contractions of the internal letters in
+    ``mask``, in ascending bit order; ``cache`` maps masks to values."""
+    hit = cache.get(mask)
     if hit is not None:
         return hit
-    pos = -1
-    for i, b in enumerate(word):
-        if (internal_mask >> b) & 1:
-            pos = i
-            break
-    if pos < 0:
-        result = [(word, Fraction(1))]
-        cache[word] = result
-        return result
-    first = word[pos]
-    out = {}
-    for j in range(pos + 1, len(word)):
-        b2 = word[j]
-        if not (internal_mask >> b2) & 1:
-            continue
+    first = (mask & -mask).bit_length() - 1
+    rest = mask ^ (1 << first)
+    total = Fraction(0)
+    between = 0
+    m = rest
+    while m:
+        low = m & -m
+        b2 = low.bit_length() - 1
         g = get(first, b2)
         if g is None:
             g = get(b2, first)
             g = -g if g is not None else None
-        if g is None:
-            continue
-        if (j - pos - 1) & 1:
-            g = -g
-        rest = word[:pos] + word[pos + 1:j] + word[j + 1:]
-        for ext_word, s in _word_integrals(rest, internal_mask, get, cache):
-            acc = out.get(ext_word)
-            v = s * g
-            acc = v if acc is None else acc + v
-            if acc:
-                out[ext_word] = acc
-            else:
-                out.pop(ext_word, None)
-    result = list(out.items())
-    cache[word] = result
-    return result
+        if g is not None:
+            v = _pairing_value(rest ^ low, get, cache) * g
+            total += -v if between & 1 else v
+        between += 1
+        m ^= low
+    cache[mask] = total
+    return total
 
 
 def integrate_polynomial(universe, table, poly):
     """Integrate out the internal generators; externals pass through."""
     internal = universe.internal_mask
-    cache = {}
+    cache = {0: Fraction(1)}
     out = GrassmannPolynomial()
     acc = out.terms
     for mask, coeff in poly.terms.items():
-        word = tuple(bits_of(mask))
-        for ext_word, s in _word_integrals(word, internal, table.get, cache):
-            m = 0
-            for b in ext_word:
-                m |= 1 << b
-            c = coeff * s
-            prev = acc.get(m)
-            c = c if prev is None else prev + c
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
+        s = _pairing_value(mask & internal, table.get, cache)
+        if not s:
+            continue
+        m = mask & ~internal
+        c = coeff * s
+        prev = acc.get(m)
+        c = c if prev is None else prev + c
+        if c:
+            acc[m] = c
+        else:
+            acc.pop(m, None)
     return out
 
 

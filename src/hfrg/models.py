@@ -289,26 +289,6 @@ def _component(c, j):
     return c if j in (0, 3) else Fraction(0)
 
 
-def _solve_square(a, b):
-    """Exact solve of a (small) square system by elimination."""
-    n = len(a)
-    m = [list(row) + [bi] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ValueError("singular projection system")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n] for row in m]
-
-
 def project_onto_basis(p, basis):
     """Exact decomposition p = sum_i x_i * basis_i + residual.
 
@@ -326,30 +306,30 @@ def project_onto_basis(p, basis):
             for j, s in _impurity_components(c):
                 row = coords.setdefault((mask, j), [Fraction(0)] * n)
                 row[i] = s
-    # pick n independent coordinate rows by incremental elimination
-    selected = []
+    # one Gauss-Jordan pass over the coordinate rows, each augmented
+    # with p's coordinate, until n independent rows are in reduced form
     work = []
     for coord in sorted(coords):
-        red = list(coords[coord])
+        red = coords[coord] + [_component(
+            p.terms.get(coord[0], Fraction(0)), coord[1])]
         for prow, pcol in work:
             f = red[pcol]
             if f:
                 red = [x - f * y for x, y in zip(red, prow)]
-        pcol = next((k for k, v in enumerate(red) if v), None)
+        pcol = next((k for k, v in enumerate(red[:n]) if v), None)
         if pcol is None:
             continue
         red = [x / red[pcol] for x in red]
+        for i, (prow, qcol) in enumerate(work):
+            f = prow[pcol]
+            if f:
+                work[i] = ([x - f * y for x, y in zip(prow, red)], qcol)
         work.append((red, pcol))
-        selected.append(coord)
         if len(work) == n:
             break
     if len(work) < n:
         raise ValueError("basis is not linearly independent")
-
-    a = [coords[coord] for coord in selected]
-    b = [_component(p.terms.get(coord[0], Fraction(0)), coord[1])
-         for coord in selected]
-    x = _solve_square(a, b)
+    x = [row[n] for row, _ in sorted(work, key=lambda w: w[1])]
 
     recon = GrassmannPolynomial()
     for xi, bp in zip(x, polys):

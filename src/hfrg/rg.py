@@ -51,10 +51,10 @@ class SymmetryViolation(RuntimeError):
 class BetaMap:
     """Exact coupling map l' = N_i(l) / D(l)**p_i.
 
-    ``constant_term`` records the scale's free normalization: for the
-    honeycomb model the pair (c0 polynomial, multiplier 8) meaning
-    8*log(c0); for the impurity model the normalization C itself
-    (multiplier 1).
+    D is the scale's free normalization c0, which the JSON form also
+    writes under ``constant_term``.  ``constant_multiplier`` is 8 for
+    the honeycomb model, meaning 8*log(c0), and 1 for the impurity
+    model, meaning the normalization itself.
     """
 
     model: str
@@ -62,7 +62,6 @@ class BetaMap:
     numerators: tuple
     denominator: CouplingPolynomial
     denominator_powers: tuple
-    constant_term: CouplingPolynomial
     constant_multiplier: int
 
     @property
@@ -190,13 +189,14 @@ class BetaMap:
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self):
+        denominator = self.denominator.to_json_obj()
         return {
             "model": self.model,
             "coupling_names": list(self.coupling_names),
             "numerators": [p.to_json_obj() for p in self.numerators],
-            "denominator": self.denominator.to_json_obj(),
+            "denominator": denominator,
             "denominator_powers": list(self.denominator_powers),
-            "constant_term": self.constant_term.to_json_obj(),
+            "constant_term": denominator,
             "constant_multiplier": self.constant_multiplier,
             "term_count": self.term_count,
         }
@@ -207,7 +207,11 @@ class BetaMap:
 
     @classmethod
     def from_json(cls, text):
+        """Read ``to_json`` text; raises ValueError when its
+        ``constant_term`` differs from its ``denominator``."""
         obj = json.loads(text)
+        if obj["constant_term"] != obj["denominator"]:
+            raise ValueError("constant_term differs from denominator")
         return cls(
             model=obj["model"],
             coupling_names=tuple(obj["coupling_names"]),
@@ -215,8 +219,6 @@ class BetaMap:
                              for p in obj["numerators"]),
             denominator=CouplingPolynomial.from_json_obj(obj["denominator"]),
             denominator_powers=tuple(obj["denominator_powers"]),
-            constant_term=CouplingPolynomial.from_json_obj(
-                obj["constant_term"]),
             constant_multiplier=obj["constant_multiplier"],
         )
 
@@ -352,7 +354,6 @@ def rg_step(spec):
         numerators=tuple(numerators),
         denominator=c0,
         denominator_powers=tuple(denom_powers),
-        constant_term=c0,
         constant_multiplier=multiplier,
     )
 

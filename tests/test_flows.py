@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfrg.couplings import CouplingPolynomial
 from hfrg.grassmann import SingularNormalization
@@ -30,7 +30,7 @@ def toy_map(numerator_terms):
     one = CouplingPolynomial.constant(1, Fraction(1))
     return BetaMap(model="toy", coupling_names=("x",), numerators=(num,),
                    denominator=one, denominator_powers=(1,),
-                   constant_term=one, constant_multiplier=1)
+                   constant_multiplier=1)
 
 
 # -- trajectories --------------------------------------------------------
@@ -84,10 +84,12 @@ def test_divergence_on_singular_normalization():
     assert traj.points == (((0, (-1.0,) + (0.0,) * 6)),)
 
 
-def test_divergence_cutoff_is_overridable():
-    traj = iterate_flow(K_BETA, (0.5, 0.0), 10, diverge_cutoff=1e-3)
+def test_divergence_cutoff_stops_a_growing_orbit():
+    # x -> 10 x passes the cutoff 1e6 on the seventh step, at 1e7
+    traj = iterate_flow(toy_map({1: 10}), (1.0,), 10)
     assert traj.termination == "diverged"
-    assert traj.n_steps == 1
+    assert traj.n_steps == 7
+    assert traj.final == (1e7,)
 
 
 def test_iterate_flow_requires_steps():
@@ -314,17 +316,33 @@ def assert_rows_identical(rows, expected):
         assert repr(row) == repr(want)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_grid_rows_are_bit_identical_to_per_point_evaluation(data):
-    beta = data.draw(st.sampled_from([G_BETA, K_BETA]))
-    axis_i, axis_j = data.draw(st.permutations(range(beta.n)))[:2]
+MAPS = {"graphene": G_BETA, "kondo": K_BETA}
+
+
+@st.composite
+def grid_cases(draw):
+    """(model, axes, window, resolution, fixed values or None)."""
+    model = draw(st.sampled_from(sorted(MAPS)))
+    n = MAPS[model].n
+    axes = tuple(draw(st.permutations(range(n)))[:2])
     coord = st.floats(-2.0, 2.0)
-    ranges = tuple(data.draw(st.tuples(coord, coord)) for _ in range(2))
-    resolution = data.draw(st.integers(2, 12))
-    base = data.draw(st.none() | st.lists(st.floats(-0.3, 0.3),
-                                          min_size=beta.n,
-                                          max_size=beta.n))
+    ranges = tuple(draw(st.tuples(coord, coord)) for _ in range(2))
+    resolution = draw(st.integers(2, 12))
+    base = draw(st.none() | st.lists(st.floats(-0.3, 0.3),
+                                     min_size=n, max_size=n))
+    return model, axes, ranges, resolution, base
+
+
+@given(grid_cases())
+@settings(max_examples=60, deadline=None)
+# an off-plane den ** p that underflows to 0 (first) or overflows
+# (second) while the in-plane powers stay finite and nonzero
+@example(("graphene", (2, 3), ((0, 3.443032638050018e-116), (0, 1)), 2,
+          None))
+@example(("graphene", (0, 1), ((1e20, 1e20), (0.0, 0.0)), 2, None))
+def test_grid_rows_are_bit_identical_to_per_point_evaluation(case):
+    model, (axis_i, axis_j), ranges, resolution, base = case
+    beta = MAPS[model]
     rows = vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
                              fixed_values=base)
     expected = reference_grid(beta, axis_i, axis_j, ranges, resolution,

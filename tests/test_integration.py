@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial
 from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
@@ -96,6 +97,23 @@ def test_two_point_matches_table():
             got = integrate_polynomial(u, t, f)
             assert got == expected or (not got and not expected)
             assert berezin_reference_integral(u, t, f) == got
+
+
+generator_ids = st.builds(
+    GeneratorId, kind=st.sampled_from(["ext", "int"]),
+    child=st.integers(0, 3), species=st.sampled_from(["", "a", "b"]),
+    spin=st.sampled_from(["up", "dn"]), conj=st.sampled_from(["+", "-"]))
+
+
+@given(st.lists(generator_ids, unique=True, max_size=72))
+def test_universe_puts_every_external_below_every_internal(gens):
+    # integrate_polynomial keeps a monomial's external part in place
+    # with no sign, which holds only under this ordering
+    u = Universe(gens)
+    ext = [u.bit_of[g] for g in gens if g.kind == "ext"]
+    internal = [u.bit_of[g] for g in gens if g.kind == "int"]
+    assert max(ext, default=-1) < min(internal, default=u.n)
+    assert u.internal_mask == sum(1 << b for b in internal)
 
 
 def test_dual_routes_agree_on_random_polys():

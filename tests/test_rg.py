@@ -1,5 +1,6 @@
 """One-scale coupling maps: exact identities, goldens, linearization."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -53,7 +54,7 @@ def test_kondo_closed_form():
     assert K_BETA.denominator == c
     assert K_BETA.numerators == (n0, n1)
     assert K_BETA.denominator_powers == (1, 1)
-    assert K_BETA.constant_term == c
+    assert K_BETA.to_json_obj()["constant_term"] == c.to_json_obj()
     assert K_BETA.constant_multiplier == 1
     assert K_BETA.term_count == 5
 
@@ -297,6 +298,13 @@ def test_json_roundtrip():
         assert back.to_json() == beta.to_json()
         pt = [0.05] * beta.n
         assert back.evaluate(pt) == beta.evaluate(pt)
+
+
+def test_json_rejects_a_constant_term_other_than_the_denominator():
+    obj = K_BETA.to_json_obj()
+    obj["constant_term"] = CouplingPolynomial.constant(2, 2).to_json_obj()
+    with pytest.raises(ValueError, match="constant_term"):
+        BetaMap.from_json(json.dumps(obj))
 
 
 def test_unknown_combination_raises():
