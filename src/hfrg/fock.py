@@ -6,11 +6,20 @@ through the mode eigenbasis, the frequency-sum representation, and the
 determinant reduction of time-ordered 2n-point averages.  The point is
 to have an independent numeric oracle, so nothing in this module
 shares code with the symbolic integration layer.
+
+The fixtures are built once per object they depend on.  A
+``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
+its ``FockOperatorSet``, its eigenbasis, its ``_ThermalState`` per
+beta and its Matsubara kernel per (beta, cutoff); one call computes
+each decay e^{-s H} of its trace once.  A function given a raw array
+builds a fresh ``ModeMatrix`` and keeps nothing, so a caller that
+reuses one mode matrix passes the ``ModeMatrix`` itself.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +31,15 @@ CAR_TOL = 1e-13
 
 class ModeMatrix:
     """Hermitian one-particle matrix generating the quadratic
-    Hamiltonian sum(mu[i, j] * adag_i * a_j)."""
+    Hamiltonian sum(mu[i, j] * adag_i * a_j).
+
+    ``mu`` is a read-only copy of the caller's array, so the fixtures
+    built from it on first use and kept here cannot go stale; their
+    arrays are read-only too.
+    """
 
     def __init__(self, mu):
-        m = np.asarray(mu, dtype=complex)
+        m = np.array(mu, dtype=complex)
         if m.ndim == 0:
             m = m.reshape(1, 1)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -35,11 +49,53 @@ class ModeMatrix:
             raise ValueError(f"mode count must be in 1..{MAX_MODES}")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("mode matrix must be Hermitian")
+        m.flags.writeable = False
         self.mu = m
         self.n = n
+        self._states = {}
+        self._kernels = {}
 
     def __repr__(self):
         return f"ModeMatrix({self.mu.tolist()!r})"
+
+    @cached_property
+    def operators(self):
+        """The ``FockOperatorSet`` of this mode matrix."""
+        return FockOperatorSet(self)
+
+    @cached_property
+    def eigenbasis(self):
+        """(eigenvalues, eigenvectors) of ``mu``."""
+        return _frozen(*np.linalg.eigh(self.mu))
+
+    def thermal_state(self, beta):
+        """The ``_ThermalState`` of the Fock Hamiltonian at ``beta``."""
+        state = self._states.get(beta)
+        if state is None:
+            state = self._states[beta] = _ThermalState(self.operators, beta)
+        return state
+
+    def matsubara_kernel(self, beta, cutoff):
+        """(k0, 1/(-i k0 + lam) + 1/(i k0)) on the 2 * cutoff
+        half-integer frequencies, one row per frequency and one column
+        per eigenvalue lam; ``matsubara_two_point`` weights the rows by
+        the phase of tau."""
+        key = (beta, cutoff)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            lam = self.eigenbasis[0]
+            m = np.arange(-cutoff, cutoff)
+            k0 = (2 * np.pi / beta) * (m + 0.5)
+            resolvent = 1.0 / (-1j * k0[:, None] + lam[None, :])
+            correction = (1.0 / (1j * k0))[:, None]
+            kernel = self._kernels[key] = _frozen(k0, resolvent + correction)
+        return kernel
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _as_mode(mu):
@@ -78,6 +134,7 @@ class FockOperatorSet:
                                       self.annihilators[j])
         self.hamiltonian = h
         self._check_anticommutators()
+        _frozen(*self.annihilators, *self.creators, h)
 
     def _check_anticommutators(self):
         eye = np.eye(1 << self.n, dtype=complex)
@@ -109,15 +166,27 @@ class _ThermalState:
         w = np.exp(-s * self.evals)
         return (self.evecs * w) @ self.evecs.conj().T
 
+    def chain_decays(self, times, beta):
+        """The decays e^{-(beta - t1) H}, e^{-(t1 - t2) H}, ...,
+        e^{-tn H} between weakly decreasing times t1 >= ... >= tn in
+        [0, beta); equal gaps share one matrix."""
+        gaps = [beta - times[0]]
+        for k, t in enumerate(times):
+            gaps.append(t - (times[k + 1] if k + 1 < len(times) else 0.0))
+        made = {}
+        for s in gaps:
+            if s not in made:
+                made[s] = self.decay(s)
+        return [made[s] for s in gaps]
 
-def _chain_trace(state, times, operators, beta):
+
+def _chain_trace(state, decays, operators):
     """Tr(e^{-(beta - t1) H} O1 e^{-(t1 - t2) H} O2 ... On e^{-tn H})/Z
-    for weakly decreasing times t1 >= t2 >= ... >= tn in [0, beta)."""
-    acc = state.decay(beta - times[0])
-    for k, op in enumerate(operators):
+    with the decays from ``_ThermalState.chain_decays``."""
+    acc = decays[0]
+    for op, decay in zip(operators, decays[1:]):
         acc = acc @ op
-        gap = times[k] - (times[k + 1] if k + 1 < len(times) else 0.0)
-        acc = acc @ state.decay(gap)
+        acc = acc @ decay
     return complex(np.trace(acc)) / state.z
 
 
@@ -133,19 +202,18 @@ def thermal_two_point(mu, beta, t, tbar):
     _check_beta(beta)
     if not (0 <= t < beta and 0 <= tbar < beta):
         raise ValueError("times must lie in [0, beta)")
-    ops = FockOperatorSet(mode)
-    state = _ThermalState(ops, beta)
+    ops = mode.operators
+    state = mode.thermal_state(beta)
+    decays = state.chain_decays([t, tbar] if t >= tbar else [tbar, t], beta)
     out = np.empty((mode.n, mode.n), dtype=complex)
     for i in range(mode.n):
         for j in range(mode.n):
             if t >= tbar:
                 out[i, j] = _chain_trace(
-                    state, [t, tbar],
-                    [ops.annihilators[i], ops.creators[j]], beta)
+                    state, decays, [ops.annihilators[i], ops.creators[j]])
             else:
                 out[i, j] = -_chain_trace(
-                    state, [tbar, t],
-                    [ops.creators[j], ops.annihilators[i]], beta)
+                    state, decays, [ops.creators[j], ops.annihilators[i]])
     return out
 
 
@@ -155,7 +223,7 @@ def closed_form_two_point(mu, beta, t, tbar):
     beta-shifted continuation for tau < 0."""
     mode = _as_mode(mu)
     _check_beta(beta)
-    lam, u = np.linalg.eigh(mode.mu)
+    lam, u = mode.eigenbasis
     tau = t - tbar
     log_occ = -np.logaddexp(0.0, -beta * lam)
     if tau >= 0:
@@ -181,13 +249,10 @@ def matsubara_two_point(mu, beta, tau, cutoff):
         raise ValueError("cutoff must be at least 1")
     if not -beta < tau < beta:
         raise ValueError("tau must lie in (-beta, beta)")
-    lam, u = np.linalg.eigh(mode.mu)
-    m = np.arange(-cutoff, cutoff)
-    k0 = (2 * np.pi / beta) * (m + 0.5)
+    u = mode.eigenbasis[1]
+    k0, kernel = mode.matsubara_kernel(beta, cutoff)
     phase = np.exp(-1j * k0 * tau)
-    resolvent = 1.0 / (-1j * k0[:, None] + lam[None, :])
-    correction = (1.0 / (1j * k0))[:, None]
-    weights = (phase[:, None] * (resolvent + correction)).sum(axis=0) / beta
+    weights = (phase[:, None] * kernel).sum(axis=0) / beta
     half = 0.5 if tau >= 0 else -0.5
     return (u * weights) @ u.conj().T + half * np.eye(mode.n)
 
@@ -201,7 +266,7 @@ def fourier_two_point(mu, beta, k_index, panels=10 ** 4):
     _check_beta(beta)
     if panels < 2:
         raise ValueError("need at least one panel per side")
-    lam, u = np.linalg.eigh(mode.mu)
+    lam, u = mode.eigenbasis
     k0 = (2 * np.pi / beta) * (k_index + 0.5)
     log_occ = -np.logaddexp(0.0, -beta * lam)
     half = panels // 2
@@ -246,15 +311,15 @@ def time_ordered_average(mu, beta, factors):
             raise ValueError("times must lie in [0, beta)")
         if kind not in ("+", "-") or not 0 <= index < mode.n:
             raise ValueError(f"bad factor ({t}, {kind}, {index})")
-    ops = FockOperatorSet(mode)
-    state = _ThermalState(ops, beta)
+    ops = mode.operators
+    state = mode.thermal_state(beta)
     order = sorted(range(len(factors)),
                    key=lambda k: _ordering_key(factors[k]))
     sign = _permutation_sign(order)
     times = [factors[k][0] for k in order]
     mats = [ops.annihilators[factors[k][2]] if factors[k][1] == "-"
             else ops.creators[factors[k][2]] for k in order]
-    return sign * _chain_trace(state, times, mats, beta)
+    return sign * _chain_trace(state, state.chain_decays(times, beta), mats)
 
 
 def wick_check(mu, beta, n, times, indices):
@@ -377,11 +442,12 @@ def verify_lemmas(seed=20260817):
     for n in (1, 2):
         mode = _random_mode(rng, n, scale=0.1)
         for beta in (1.0, 5.0):
-            ops = FockOperatorSet(mode)
-            state = _ThermalState(ops, beta)
+            ops = mode.operators
+            state = mode.thermal_state(beta)
+            decays = state.chain_decays([0.0, 0.0], beta)
             anti = np.array([[
-                _chain_trace(state, [0.0, 0.0], [a, c], beta)
-                + _chain_trace(state, [0.0, 0.0], [c, a], beta)
+                _chain_trace(state, decays, [a, c])
+                + _chain_trace(state, decays, [c, a])
                 for c in ops.creators] for a in ops.annihilators])
             err = max(err, float(np.max(np.abs(anti - np.eye(n)))))
             jump = matsubara_two_point(mode, beta, 1e-3, 10 ** 4) \
@@ -396,7 +462,7 @@ def verify_lemmas(seed=20260817):
     for n in (1, 2):
         for beta in (1.0, 5.0):
             mode = _random_mode(rng, n)
-            lam, u = np.linalg.eigh(mode.mu)
+            lam, u = mode.eigenbasis
             for k_index in range(5):
                 k0 = (2 * np.pi / beta) * (k_index + 0.5)
                 target = (u * (1.0 / (-1j * k0 + lam))) @ u.conj().T

@@ -18,7 +18,9 @@ Two independent routes compute the same functional:
   integrand, and reads off the top internal monomial against the
   reference word (minus_1 plus_1 minus_2 plus_2 ...).  Exponential in
   16 generators is affordable only for small universes, which is all
-  an oracle needs.
+  an oracle needs.  The density depends only on the covariance, so
+  each ``PropagatorTable`` builds it once, on first use, and keeps it
+  (``gaussian_density``); each integrand then costs one product.
 
 They share nothing but the polynomial arithmetic, so agreement is a
 real cross-check of the sign conventions.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .grassmann import (GeneratorId, GrassmannPolynomial, bits_of,
                         exp_truncated, merge_sign)
@@ -110,6 +113,43 @@ class PropagatorTable:
         u = self.universe
         return [i for i, g in enumerate(u.gens)
                 if g.kind == "int" and g.conj == "+"]
+
+    @cached_property
+    def gaussian_density(self):
+        """(density, internal mask, reference sign) for the oracle route.
+
+        The density is det(g) * exp(-sum_kl inv(g)[k,l] plus_k minus_l);
+        the reference sign orders the top internal monomial as
+        minus_1 plus_1 minus_2 plus_2 ...  Nothing is stored when the
+        table is singular or too large, so every call raises again.
+        """
+        minus = self.minus_bits()
+        plus = self.plus_bits()
+        if len(minus) != len(plus):
+            raise ValueError("unpaired internal generators")
+        n = len(minus)
+        if 2 * n > 16:
+            raise ValueError("oracle limited to 16 internal generators")
+        g = [[self.get(mb, pb) or Fraction(0) for pb in plus]
+             for mb in minus]
+        ginv, det = _invert_exact(g)
+        quad = GrassmannPolynomial()
+        for k in range(n):
+            for l in range(n):
+                if not ginv[k][l]:
+                    continue
+                quad = quad + GrassmannPolynomial.monomial(
+                    [plus[k], minus[l]], -ginv[k][l])
+        density = exp_truncated(quad).scale(det)
+
+        full_int = 0
+        for b in minus + plus:
+            full_int |= 1 << b
+        reference = []
+        for mb, pb in zip(minus, plus):
+            reference.extend((mb, pb))
+        return density, full_int, _permutation_sign(sorted(reference),
+                                                    reference)
 
 
 def _pairing_value(mask, get, cache):
@@ -212,39 +252,13 @@ def berezin_reference_integral(universe, table, poly):
     """Oracle route via the explicit Gaussian density.
 
     Limited to 16 internal generators; raises SingularPropagator when
-    the covariance has no inverse.
+    the covariance has no inverse.  The density is built once per
+    table (``PropagatorTable.gaussian_density``).
     """
-    minus = table.minus_bits()
-    plus = table.plus_bits()
-    if len(minus) != len(plus):
-        raise ValueError("unpaired internal generators")
-    n = len(minus)
-    if 2 * n > 16:
-        raise ValueError("oracle limited to 16 internal generators")
-    if n == 0:
-        return GrassmannPolynomial(dict(poly.terms))
-    g = [[table.get(mb, pb) or Fraction(0) for pb in plus] for mb in minus]
-    ginv, det = _invert_exact(g)
-    quad = GrassmannPolynomial()
-    for k in range(n):
-        for l in range(n):
-            if not ginv[k][l]:
-                continue
-            quad = quad + GrassmannPolynomial.monomial(
-                [plus[k], minus[l]], -ginv[k][l])
-    density = exp_truncated(quad).scale(det)
+    density, full_int, sigma2 = table.gaussian_density
     full = density * poly
 
     internal_mask = universe.internal_mask
-    full_int = 0
-    for b in minus + plus:
-        full_int |= 1 << b
-    # reference word: minus_1 plus_1 minus_2 plus_2 ... in pair order
-    reference = []
-    for mb, pb in zip(minus, plus):
-        reference.extend((mb, pb))
-    sigma2 = _permutation_sign(sorted(reference), reference)
-
     out = GrassmannPolynomial()
     for mask, coeff in full.terms.items():
         if mask & internal_mask != full_int:

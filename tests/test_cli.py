@@ -379,6 +379,22 @@ def test_vector_field_at_the_smallest_resolution(capsys):
     assert len(rows) == 4
 
 
+def test_vector_field_across_a_singular_region(capsys):
+    # the graphene normalization vanishes at l0 = -1, the middle tick
+    argv = ["vector-field", "--model", "graphene", "--range-i=-1.5,-0.5",
+            "--resolution", "3"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 9
+    assert [row for row in rows if row.startswith("-1,0,")] == \
+        ["-1,0,0,0,nan"]
+    assert run(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    singular = [row for row in rows if row[:2] == [-1.0, 0.0]]
+    assert singular == [[-1.0, 0.0, 0.0, 0.0, None]]
+
+
 def test_flow_from_a_singular_start_diverges_at_once(capsys):
     # l0 = -1 with the rest at zero makes the graphene normalization vanish
     assert run(["flow", "--model", "graphene",

@@ -185,6 +185,56 @@ def test_mode_matrix_validation():
         ModeMatrix(np.zeros((2, 3)))
 
 
+def test_mode_matrix_keeps_a_read_only_copy():
+    raw = np.array([[0.5, 0.1j], [-0.1j, -0.2]])
+    mode = ModeMatrix(raw)
+    with pytest.raises(ValueError):
+        mode.mu[0, 0] = 1.0
+    raw[0, 0] = 9.0
+    assert mode.mu[0, 0] == 0.5
+    for fixture in (mode.eigenbasis[1], mode.operators.hamiltonian,
+                    mode.matsubara_kernel(2.0, 10)[1]):
+        with pytest.raises(ValueError):
+            fixture[0, 0] = 1.0
+
+
+def _fock_outputs(mu):
+    """One value of every public function, at two betas, two cutoffs
+    and both time orders, so that every cached fixture is used."""
+    factors = [(0.5, "-", 0), (1.2, "+", 2), (0.5, "+", 1), (1.9, "-", 2)]
+    return [
+        thermal_two_point(mu, 2.0, 1.3, 0.4),
+        thermal_two_point(mu, 2.0, 0.4, 1.3),
+        thermal_two_point(mu, 5.0, 0.7, 0.7),
+        closed_form_two_point(mu, 2.0, 0.3, 1.1),
+        closed_form_two_point(mu, 5.0, 1.1, 0.3),
+        matsubara_two_point(mu, 2.0, 0.7, 500),
+        matsubara_two_point(mu, 2.0, -0.7, 400),
+        matsubara_two_point(mu, 5.0, 0.0, 500),
+        fourier_two_point(mu, 2.0, 3, panels=200),
+        fourier_two_point(mu, 5.0, 1, panels=200),
+        np.array(time_ordered_average(mu, 2.0, factors)),
+        np.array(time_ordered_average(mu, 5.0, factors)),
+        np.array(wick_check(mu, 2.0, 2, (0.1, 0.5, 0.5, 1.7), (0, 1, 2, 0))),
+        np.array(wick_check(mu, 5.0, 1, (3.1, 0.2), (2, 1))),
+    ]
+
+
+def test_a_used_mode_gives_the_values_of_a_fresh_one():
+    mode = random_mode(np.random.default_rng(50), 3)
+    _fock_outputs(mode)
+    used = _fock_outputs(mode)
+    fresh = _fock_outputs(ModeMatrix(mode.mu))
+    raw = _fock_outputs(np.array(mode.mu))
+    for k, (a, b, c) in enumerate(zip(used, fresh, raw)):
+        assert np.array_equal(a, b), k
+        assert np.array_equal(a, c), k
+
+
+def test_lemma_battery_repeats_its_records():
+    assert verify_lemmas(7) == verify_lemmas(7)
+
+
 def test_argument_validation():
     flat = [[0.0]]
     with pytest.raises(ValueError):

@@ -160,6 +160,30 @@ def test_singular_covariance_raises_in_oracle():
             Fraction(1)))
 
 
+def test_reused_table_gives_the_values_of_a_fresh_equal_table():
+    rng = random.Random(7)
+    u = make_universe(3)
+    t, rows = random_table(u, 3, rng)
+    entries = {(pair_gen(a, "-"), pair_gen(b, "+")): rows[a][b]
+               for a in range(3) for b in range(3)}
+    for mask in range(1 << u.n):
+        f = GrassmannPolynomial({mask: Fraction(1)})
+        fresh = PropagatorTable(u, entries)
+        assert berezin_reference_integral(u, t, f) == \
+            berezin_reference_integral(u, fresh, f), mask
+
+
+def test_singular_table_raises_on_every_call():
+    u = make_universe(2)
+    entries = {(pair_gen(a, "-"), pair_gen(b, "+")): Fraction(1)
+               for a in range(2) for b in range(2)}
+    t = PropagatorTable(u, entries)
+    one = GrassmannPolynomial.scalar(Fraction(1))
+    for _ in range(2):
+        with pytest.raises(SingularPropagator):
+            berezin_reference_integral(u, t, one)
+
+
 def test_table_validation():
     u = make_universe(1)
     with pytest.raises(ValueError):
