@@ -10,10 +10,9 @@ into the attracting non-trivial equilibrium in a few hundred steps.
 
 import argparse
 
+from hfrg.cli import DEFAULT_SEEDS
 from hfrg.flows import find_fixed_points, iterate_flow
 from hfrg.rg import shipped_map
-
-SEEDS = tuple((a / 2, b / 2) for a in range(-2, 3) for b in range(-2, 3))
 
 
 def main():
@@ -26,7 +25,7 @@ def main():
     args = parser.parse_args()
 
     beta = shipped_map("kondo")
-    reports = find_fixed_points(beta, SEEDS)
+    reports = find_fixed_points(beta, DEFAULT_SEEDS["kondo"])
     targets = [r.location for r in reports]
     print("equilibria:")
     for r in reports:

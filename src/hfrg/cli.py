@@ -5,7 +5,8 @@ lattice band tables, all as plot-ready CSV or JSON.
 Run parameters come from an optional flat key=value config file plus
 flags; a flag always wins over the file.  Exit codes: 0 on success, 1
 when a verification suite fails, 2 on usage errors, 3 on malformed
-configuration.  Only the float commands and the thermal suite load NumPy.
+configuration, an unreadable config file or an unwritable ``--output``.
+Only the float commands and the thermal suite load NumPy.
 
 ``beta`` derives a model's exact map with ``rg_step``.  The float
 commands (``flow``, ``fixed-points``, ``vector-field``) read the same
@@ -63,9 +64,12 @@ def _json_text(payload):
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 # ------------------------------------------------------------ configuration
@@ -76,7 +80,7 @@ def parse_config_file(path):
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
     for num, raw in enumerate(lines, start=1):
@@ -94,96 +98,97 @@ def parse_config_file(path):
     return values
 
 
+# Field parsers: each raises ValueError, which _Resolver.get reports.
+
+
+def _choice(text, choices):
+    if text not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)}")
+    return text
+
+
+def _integer(text, minimum):
+    try:
+        out = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}")
+    if out < minimum:
+        raise ValueError(f"must be at least {minimum}")
+    return out
+
+
+def _floats(text, length=None):
+    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    try:
+        out = tuple(float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"expected comma-separated floats, got {text!r}")
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError("entries must be finite")
+    if length is not None and len(out) != length:
+        raise ValueError(f"expected {length} entries, got {len(out)}")
+    return out
+
+
+def _int_pair(text, n):
+    try:
+        out = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected two integers, got {text!r}")
+    if len(out) != 2:
+        raise ValueError(f"expected two integers, got {len(out)}")
+    if not all(0 <= i < n for i in out) or out[0] == out[1]:
+        raise ValueError(f"need two distinct indices below {n}")
+    return out
+
+
+def _interval(text, resolution):
+    out = _floats(text)
+    if len(out) != 2 or not out[0] < out[1]:
+        raise ValueError("expected lo,hi with lo < hi")
+    if not math.isfinite((out[1] - out[0]) * (resolution - 1)):
+        # the ticks lo + (hi - lo) * k / (resolution - 1) would overflow
+        raise ValueError("(hi - lo) * (resolution - 1) overflows")
+    return out
+
+
+def _seeds(text, width):
+    seeds = [_floats(chunk, width) for chunk in text.split(";")
+             if chunk.strip()]
+    if not seeds:
+        raise ValueError("no seeds given")
+    return seeds
+
+
 class _Resolver:
     """Field lookup that prefers flags over config-file entries and
     reports the offending file line on parse failures."""
 
     def __init__(self, args):
-        path = getattr(args, "config", None)
-        self.path = path
-        self.file_values = parse_config_file(path) if path else {}
-        self.args = args
+        self.args, self.path = args, getattr(args, "config", None)
+        self.file_values = parse_config_file(self.path) if self.path else {}
 
-    def raw(self, field, default=None):
-        flag = getattr(self.args, field.replace("-", "_"), None)
+    def get(self, field, parse=str, default=None, *args):
+        """``parse(text, *args)`` of the flag, else of the file entry,
+        else ``default``.  A ValueError from the parser becomes a
+        ConfigError naming the field and, for a file entry, path:line."""
+        flag = getattr(self.args, field, None)
         if flag is not None:
-            return str(flag), None
-        if field in self.file_values:
-            value, line = self.file_values[field]
-            return value, line
-        return default, None
-
-    def _fail(self, field, line, message):
-        where = f"{self.path}:{line}: " if line is not None else ""
-        raise ConfigError(f"{where}field {field!r}: {message}")
-
-    def string(self, field, default=None, choices=None):
-        value, line = self.raw(field, default)
-        if value is None:
-            return None
-        if choices is not None and value not in choices:
-            self._fail(field, line, f"must be one of {', '.join(choices)}")
-        return value
-
-    def integer(self, field, default=None, minimum=None):
-        value, line = self.raw(field)
-        if value is None:
+            text, where = str(flag), ""
+        elif field in self.file_values:
+            text, line = self.file_values[field]
+            where = f"{self.path}:{line}: "
+        else:
             return default
         try:
-            out = int(value)
-        except ValueError:
-            self._fail(field, line, f"expected an integer, got {value!r}")
-        if minimum is not None and out < minimum:
-            self._fail(field, line, f"must be at least {minimum}")
-        return out
-
-    def float_vector(self, field, length=None, default=None):
-        value, line = self.raw(field)
-        if value is None:
-            return default
-        parts = [p for p in value.replace(";", ",").split(",") if p.strip()]
-        try:
-            out = tuple(float(p) for p in parts)
-        except ValueError:
-            self._fail(field, line, f"expected comma-separated floats, "
-                       f"got {value!r}")
-        if not all(math.isfinite(v) for v in out):
-            self._fail(field, line, "entries must be finite")
-        if length is not None and len(out) != length:
-            self._fail(field, line, f"expected {length} entries, "
-                       f"got {len(out)}")
-        return out
-
-    def int_pair(self, field, default=None):
-        value, line = self.raw(field)
-        if value is None:
-            return default
-        parts = value.split(",")
-        try:
-            out = tuple(int(p) for p in parts)
-        except ValueError:
-            self._fail(field, line, f"expected two integers, got {value!r}")
-        if len(out) != 2:
-            self._fail(field, line, f"expected two integers, got {len(out)}")
-        return out
-
-    def interval(self, field, resolution, default=None):
-        out = self.float_vector(field, length=None, default=None)
-        if out is None:
-            return default
-        value, line = self.raw(field)
-        if len(out) != 2 or not out[0] < out[1]:
-            self._fail(field, line, "expected lo,hi with lo < hi")
-        if not math.isfinite((out[1] - out[0]) * (resolution - 1)):
-            # the ticks lo + (hi - lo) * k / (resolution - 1) would overflow
-            self._fail(field, line, "(hi - lo) * (resolution - 1) overflows")
-        return out
+            return parse(text, *args)
+        except ValueError as exc:
+            raise ConfigError(f"{where}field {field!r}: {exc}")
 
     def model(self):
-        name = self.string("model", choices=tuple(MODEL_BUILDERS))
+        name = self.get("model", _choice, None, tuple(MODEL_BUILDERS))
         if name is None:
-            value, line = self.raw("model")
-            self._fail("model", line, "required (graphene or kondo)")
+            raise ConfigError("field 'model': required (graphene or kondo)")
         return name
 
 
@@ -212,13 +217,13 @@ def cmd_flow(args):
     cfg = _Resolver(args)
     model = cfg.model()
     beta = shipped_map(model)
-    start = cfg.float_vector("start", length=beta.n)
+    start = cfg.get("start", _floats, None, beta.n)
     if start is None:
         raise ConfigError("field 'start': required (initial couplings, "
                           f"{beta.n} comma-separated floats)")
-    steps = cfg.integer("steps", default=500, minimum=1)
-    fmt = cfg.string("format", default="csv", choices=("csv", "json"))
-    output = cfg.string("output")
+    steps = cfg.get("steps", _integer, 500, 1)
+    fmt = cfg.get("format", _choice, "csv", ("csv", "json"))
+    output = cfg.get("output")
     trajectory = flows.iterate_flow(beta, start, steps)
     names = beta.coupling_names
     if fmt == "csv":
@@ -241,35 +246,11 @@ def cmd_flow(args):
     return EXIT_OK
 
 
-def _parse_seed_list(text, width):
-    seeds = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            seed = tuple(float(p) for p in chunk.split(","))
-        except ValueError:
-            raise ConfigError(f"field 'seeds': bad vector {chunk!r}")
-        if not all(math.isfinite(v) for v in seed):
-            raise ConfigError(f"field 'seeds': entries must be finite, "
-                              f"got {chunk!r}")
-        if len(seed) != width:
-            raise ConfigError(f"field 'seeds': expected {width} entries "
-                              f"per seed, got {len(seed)}")
-        seeds.append(seed)
-    if not seeds:
-        raise ConfigError("field 'seeds': no seeds given")
-    return seeds
-
-
 def cmd_fixed_points(args):
     from . import flows
     beta = shipped_map(args.model)
-    if args.seeds is not None:
-        seeds = _parse_seed_list(args.seeds, beta.n)
-    else:
-        seeds = DEFAULT_SEEDS[args.model]
+    seeds = _Resolver(args).get("seeds", _seeds, DEFAULT_SEEDS[args.model],
+                                beta.n)
     results = flows.find_fixed_points(beta, seeds)
     payload = {
         "model": args.model,
@@ -294,18 +275,14 @@ def cmd_vector_field(args):
     cfg = _Resolver(args)
     model = cfg.model()
     beta = shipped_map(model)
-    axes = cfg.int_pair("axes", default=(0, 1))
-    if not (0 <= axes[0] < beta.n and 0 <= axes[1] < beta.n) \
-            or axes[0] == axes[1]:
-        raise ConfigError(f"field 'axes': need two distinct indices "
-                          f"below {beta.n}")
+    axes = cfg.get("axes", _int_pair, (0, 1), beta.n)
     default_i, default_j = DEFAULT_PLANE[model]
-    resolution = cfg.integer("resolution", default=50, minimum=2)
-    range_i = cfg.interval("range_i", resolution, default=default_i)
-    range_j = cfg.interval("range_j", resolution, default=default_j)
-    slice_values = cfg.float_vector("slice", length=beta.n)
-    fmt = cfg.string("format", default="csv", choices=("csv", "json"))
-    output = cfg.string("output")
+    resolution = cfg.get("resolution", _integer, 50, 2)
+    range_i = cfg.get("range_i", _interval, default_i, resolution)
+    range_j = cfg.get("range_j", _interval, default_j, resolution)
+    slice_values = cfg.get("slice", _floats, None, beta.n)
+    fmt = cfg.get("format", _choice, "csv", ("csv", "json"))
+    output = cfg.get("output")
     grid = flows.vector_field_grid(beta, axes[0], axes[1],
                                    (range_i, range_j), resolution,
                                    fixed_values=slice_values)
@@ -348,9 +325,9 @@ def cmd_verify(args):
 
 def cmd_lattice(args):
     cfg = _Resolver(args)
-    resolution = cfg.integer("resolution", default=50, minimum=2)
-    lo, hi = cfg.interval("range_i", resolution, default=(-math.pi, math.pi))
-    output = cfg.string("output")
+    resolution = cfg.get("resolution", _integer, 50, 2)
+    lo, hi = cfg.get("range_i", _interval, (-math.pi, math.pi), resolution)
+    output = cfg.get("output")
     lines = [
         "# fermi_plus: " + ",".join(_fmt(v) for v in LATTICE.fermi_plus),
         "# fermi_minus: " + ",".join(_fmt(v) for v in LATTICE.fermi_minus),

@@ -99,6 +99,8 @@ def test_flow_reads_config_file_with_flag_override(tmp_path):
     ("start = 0.1,0\n", "field 'model'"),
     ("model = kondo\n", "field 'start'"),
     ("model = kondo\nstart = 0.1,0\nsteps = 0\n", "at least 1"),
+    # open() rejects a path with a NUL byte with ValueError, not OSError
+    ("model = kondo\nstart = 0.1,0\noutput = a\0b\n", "cannot write a"),
 ])
 def test_malformed_config_exits_three(tmp_path, capsys, content, fragment):
     cfg = tmp_path / "bad.cfg"
@@ -112,6 +114,53 @@ def test_config_error_reports_line_number(tmp_path, capsys):
     cfg.write_text("model = kondo\nstart = 0.1,0\nresolution = soon\n")
     assert run(["vector-field", str(cfg)]) == 3
     assert f"{cfg}:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("flow", "start", "a,b"),
+    ("flow", "steps", "soon"),
+    ("flow", "format", "xml"),
+    ("vector-field", "axes", "0,2"),
+    ("vector-field", "resolution", "1"),
+    ("vector-field", "range_i", "1,0"),
+    ("vector-field", "range_j", "0,nan"),
+    ("vector-field", "slice", "0.1"),
+])
+def test_every_config_field_reports_its_line(tmp_path, capsys, command,
+                                             field, value):
+    entries = {"model": "kondo", "start": "0.1,0", field: value}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    line = list(entries).index(field) + 1
+    assert run([command, str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {cfg}:{line}: "
+                                   f"field {field!r}: ")
+
+
+def test_undecodable_config_file_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"model = kondo\nstart = \xff\n")
+    assert run(["flow", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config file {cfg}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "kondo"],
+    ["flow", "--model", "kondo", "--start=0.1,0", "--steps", "2"],
+    ["fixed-points", "kondo", "--seeds=0,0"],
+    ["vector-field", "--model", "kondo", "--resolution", "2"],
+    ["verify", "integration"],
+    ["lattice", "--resolution", "2"],
+])
+def test_unwritable_output_is_a_config_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    assert run(argv + ["--output", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {target}: ")
 
 
 def test_fixed_points_kondo_reports_both_equilibria(tmp_path):
@@ -141,6 +190,17 @@ def test_fixed_points_accepts_explicit_seeds(tmp_path):
 def test_fixed_points_rejects_bad_seed_width(capsys):
     assert run(["fixed-points", "kondo", "--seeds", "0.1,0.2,0.3"]) == 3
     assert "expected 2 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("a,b", "expected comma-separated floats, got 'a,b'"),
+    (";", "no seeds given"),
+])
+def test_fixed_points_rejects_malformed_seeds(seeds, message, capsys):
+    assert run(["fixed-points", "kondo", "--seeds", seeds]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: field 'seeds': {message}\n"
 
 
 def test_vector_field_csv_matches_library_grid(tmp_path):

@@ -26,11 +26,3 @@ def test_impurity_dichotomy():
     out = run_script("impurity_dichotomy.py", "--steps", 50)
     assert out.startswith("equilibria:\n")
 
-
-def test_export_vector_field(tmp_path):
-    run_script("export_vector_field.py", tmp_path, "--resolution", 4)
-    for model in ("kondo", "graphene"):
-        for suffix in ("field.csv", "fixed_points.json"):
-            path = tmp_path / f"{model}_{suffix}"
-            assert path.stat().st_size > 0, path
-
