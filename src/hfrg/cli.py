@@ -5,8 +5,9 @@ lattice band tables, all as plot-ready CSV or JSON.
 Run parameters come from an optional flat key=value config file plus
 flags; a flag always wins over the file.  Exit codes: 0 on success, 1
 when a verification suite fails, 2 on usage errors, 3 on malformed
-configuration, an unreadable config file or an unwritable ``--output``.
-Only the float commands and the thermal suite load NumPy.
+configuration, an unreadable config file or an unwritable ``--output``;
+every command checks ``--output`` before any work.  Only
+``fixed-points``, ``vector-field`` and the thermal suite load NumPy.
 
 ``beta`` derives a model's exact map with ``rg_step``.  The float
 commands (``flow``, ``fixed-points``, ``vector-field``) read the same
@@ -51,14 +52,29 @@ class ConfigError(Exception):
     """Malformed run configuration (file or flag payload)."""
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+def _float_fields(n):
+    """A ``%`` template of ``n`` comma-separated ``%.17g`` fields; each
+    formats a float as ``f"{x:.17g}"`` does, ``nan``, ``inf`` and ``-0``
+    included."""
+    return ",".join(["%.17g"] * n)
 
 
 def _json_text(payload):
     """Strict JSON (RFC 8259): a non-finite float is an error, not a
     bare NaN or Infinity token."""
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+def _writable(path):
+    """Check that ``path`` opens for writing and return it.  Commands
+    check ``--output`` so before any work; append mode leaves an
+    existing file as it was until the command writes it."""
+    if path is not None:
+        try:
+            open(path, "a").close()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot write {path}: {exc}")
+    return path
 
 
 def _write_text(path, text):
@@ -196,6 +212,7 @@ class _Resolver:
 
 
 def cmd_beta(args):
+    _writable(args.output)
     beta = rg_step(MODEL_BUILDERS[args.model]())
     text = beta.to_json() + "\n"
     counts = [f"{name}: {len(poly)} terms"
@@ -223,13 +240,13 @@ def cmd_flow(args):
                           f"{beta.n} comma-separated floats)")
     steps = cfg.get("steps", _integer, 500, 1)
     fmt = cfg.get("format", _choice, "csv", ("csv", "json"))
-    output = cfg.get("output")
+    output = _writable(cfg.get("output"))
     trajectory = flows.iterate_flow(beta, start, steps)
     names = beta.coupling_names
     if fmt == "csv":
+        row = "%d," + _float_fields(beta.n)
         lines = ["h," + ",".join(f"l{i}" for i in range(beta.n))]
-        for h, point in trajectory.points:
-            lines.append(",".join([str(h)] + [_fmt(v) for v in point]))
+        lines += [row % (h, *point) for h, point in trajectory.points]
         lines.append(f"# termination: {trajectory.termination} "
                      f"after {trajectory.n_steps} steps")
         _write_text(output, "\n".join(lines) + "\n")
@@ -248,6 +265,7 @@ def cmd_flow(args):
 
 def cmd_fixed_points(args):
     from . import flows
+    _writable(args.output)
     beta = shipped_map(args.model)
     seeds = _Resolver(args).get("seeds", _seeds, DEFAULT_SEEDS[args.model],
                                 beta.n)
@@ -282,7 +300,7 @@ def cmd_vector_field(args):
     range_j = cfg.get("range_j", _interval, default_j, resolution)
     slice_values = cfg.get("slice", _floats, None, beta.n)
     fmt = cfg.get("format", _choice, "csv", ("csv", "json"))
-    output = cfg.get("output")
+    output = _writable(cfg.get("output"))
     grid = flows.vector_field_grid(beta, axes[0], axes[1],
                                    (range_i, range_j), resolution,
                                    fixed_values=slice_values)
@@ -290,8 +308,8 @@ def cmd_vector_field(args):
         lines = [f"# model: {model}",
                  f"# axes: {axes[0]},{axes[1]}",
                  "li,lj,dir_i,dir_j,log10_mag"]
-        for row in grid:
-            lines.append(",".join(_fmt(v) for v in row))
+        row = _float_fields(5)
+        lines += [row % values for values in grid]
         _write_text(output, "\n".join(lines) + "\n")
     else:
         payload = {
@@ -307,6 +325,7 @@ def cmd_vector_field(args):
 
 
 def cmd_verify(args):
+    _writable(args.output)
     records = []
     if args.suite in ("fock", "all"):
         from . import fock
@@ -327,11 +346,13 @@ def cmd_lattice(args):
     cfg = _Resolver(args)
     resolution = cfg.get("resolution", _integer, 50, 2)
     lo, hi = cfg.get("range_i", _interval, (-math.pi, math.pi), resolution)
-    output = cfg.get("output")
+    output = _writable(cfg.get("output"))
+    fermi = _float_fields(len(LATTICE.fermi_plus))
+    row = _float_fields(6)
     lines = [
-        "# fermi_plus: " + ",".join(_fmt(v) for v in LATTICE.fermi_plus),
-        "# fermi_minus: " + ",".join(_fmt(v) for v in LATTICE.fermi_minus),
-        f"# v_fermi: {_fmt(LATTICE.v_fermi)}",
+        "# fermi_plus: " + fermi % LATTICE.fermi_plus,
+        "# fermi_minus: " + fermi % LATTICE.fermi_minus,
+        "# v_fermi: %.17g" % LATTICE.v_fermi,
         "kx,ky,re_omega,im_omega,band_minus,band_plus",
     ]
     for a in range(resolution):
@@ -340,8 +361,7 @@ def cmd_lattice(args):
             ky = lo + (hi - lo) * b / (resolution - 1)
             w = omega((kx, ky))
             lower, upper = bands((kx, ky))
-            lines.append(",".join(_fmt(v) for v in
-                                  (kx, ky, w.real, w.imag, lower, upper)))
+            lines.append(row % (kx, ky, w.real, w.imag, lower, upper))
     _write_text(output, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -3,7 +3,9 @@
 The exact one-scale map is iterated, searched for fixed points, and
 linearized in floats here.  All symbolic work stays inside the map
 itself (exact numerators, denominator, and their derivatives), so this
-layer only deals in ordinary dense vectors and matrices.
+layer only deals in ordinary dense vectors and matrices.  Only the
+linear algebra and the grid use NumPy, and they import it when called,
+so iterating a flow never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .grassmann import SingularNormalization
 
@@ -84,15 +84,20 @@ def iterate_flow(beta, start, max_steps):
     max norm (converged) or the iterate leaves the ball of radius
     ``DIVERGE_CUTOFF`` (diverged); a vanishing normalization or a
     non-finite value also terminates as diverged rather than raising.
+
+    The start's length is checked once, as ``beta.evaluate`` checks it;
+    each step then calls ``beta.float_kernel``, the function
+    ``evaluate`` runs at a float point, so the orbit has the same bits.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    cur = tuple(float(x) for x in start)
+    cur = tuple(beta.as_point([float(x) for x in start]))
+    step = beta.float_kernel
     points = [(0, cur)]
     termination = "max steps"
     for index in range(-1, -max_steps - 1, -1):
         try:
-            nxt = tuple(beta.evaluate(cur))
+            nxt = tuple(step(cur))
         except _NUMERIC_ERRORS:
             termination = "diverged"
             break
@@ -105,7 +110,6 @@ def iterate_flow(beta, start, max_steps):
             break
         if max(map(abs, map(operator.sub, nxt, cur))) < CONVERGE_TOL:
             termination = "converged"
-            cur = nxt
             break
         cur = nxt
     return Trajectory(tuple(points), termination)
@@ -114,6 +118,7 @@ def iterate_flow(beta, start, max_steps):
 def stability(beta, point):
     """Classify an equilibrium by the eigenvalue moduli of the exact
     Jacobian evaluated at ``point``."""
+    import numpy as np
     loc = tuple(float(x) for x in point)
     image = beta.evaluate(loc)
     residual = _inf_norm([a - b for a, b in zip(image, loc)])
@@ -142,6 +147,7 @@ def _newton(beta, seed, tol):
     tolerance is met a wide puddle away from the actual point and only
     the extra polishing steps contract onto it.
     """
+    import numpy as np
     x = [float(v) for v in seed]
     n = len(x)
     try:
@@ -263,6 +269,7 @@ def vector_field_grid(beta, axis_i, axis_j, ranges, resolution,
     the two in-plane numerators; each row is then finished in Python
     floats, so it has the bits a per-point ``beta.evaluate`` gives.
     """
+    import numpy as np
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     n = beta.n

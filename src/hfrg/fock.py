@@ -10,10 +10,11 @@ shares code with the symbolic integration layer.
 The fixtures are built once per object they depend on.  A
 ``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
 its ``FockOperatorSet``, its eigenbasis, its ``_ThermalState`` per
-beta and its Matsubara kernel per (beta, cutoff); one call computes
-each decay e^{-s H} of its trace once.  A function given a raw array
-builds a fresh ``ModeMatrix`` and keeps nothing, so a caller that
-reuses one mode matrix passes the ``ModeMatrix`` itself.
+beta, its Matsubara kernel per (beta, cutoff) and its Fourier weights
+per (beta, panels); one call computes each decay e^{-s H} of its trace
+once.  A function given a raw array builds a fresh ``ModeMatrix`` and
+keeps nothing, so a caller that reuses one mode matrix passes the
+``ModeMatrix`` itself.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class ModeMatrix:
         self.n = n
         self._states = {}
         self._kernels = {}
+        self._fourier = {}
 
     def __repr__(self):
         return f"ModeMatrix({self.mu.tolist()!r})"
@@ -90,6 +92,26 @@ class ModeMatrix:
             correction = (1.0 / (1j * k0))[:, None]
             kernel = self._kernels[key] = _frozen(k0, resolvent + correction)
         return kernel
+
+    def fourier_weights(self, beta, panels):
+        """(taus, w_pos, w_neg): the midpoints dt * (j + 1/2) of the
+        panels // 2 panels of width dt = beta / (panels // 2) on each
+        side of tau = 0, and the closed-form two-point function in the
+        eigenbasis at +tau and at tau - beta, one row per midpoint and
+        one column per eigenvalue; ``fourier_two_point`` weights the
+        rows by the phases of one frequency."""
+        key = (beta, panels)
+        weights = self._fourier.get(key)
+        if weights is None:
+            lam = self.eigenbasis[0]
+            log_occ = -np.logaddexp(0.0, -beta * lam)
+            half = panels // 2
+            taus = (beta / half) * (np.arange(half) + 0.5)
+            w_pos = np.exp(-taus[:, None] * lam[None, :] + log_occ[None, :])
+            w_neg = -np.exp((taus[:, None] - beta) * lam[None, :]
+                            + log_occ[None, :])
+            weights = self._fourier[key] = _frozen(taus, w_pos, w_neg)
+        return weights
 
 
 def _frozen(*arrays):
@@ -269,16 +291,12 @@ def fourier_two_point(mu, beta, k_index, panels=10 ** 4):
     _check_beta(beta)
     if panels < 2:
         raise ValueError("need at least one panel per side")
-    lam, u = mode.eigenbasis
+    u = mode.eigenbasis[1]
     k0 = (2 * np.pi / beta) * (k_index + 0.5)
-    log_occ = -np.logaddexp(0.0, -beta * lam)
-    half = panels // 2
-    dt = beta / half
-    taus = dt * (np.arange(half) + 0.5)
+    dt = beta / (panels // 2)
+    taus, w_pos, w_neg = mode.fourier_weights(beta, panels)
     phase_pos = np.exp(1j * k0 * taus)
     phase_neg = np.exp(-1j * k0 * taus)
-    w_pos = np.exp(-taus[:, None] * lam[None, :] + log_occ[None, :])
-    w_neg = -np.exp((taus[:, None] - beta) * lam[None, :] + log_occ[None, :])
     coeff = (phase_pos[:, None] * w_pos
              + phase_neg[:, None] * w_neg).sum(axis=0) * dt / 2
     return (u * coeff) @ u.conj().T

@@ -105,8 +105,11 @@ class BetaMap:
                 for p in (*self._dden, *chain(*self._dnum))]
 
     @functools.cached_property
-    def _float_evaluate(self):
-        """``evaluate`` at one float point, as one generated function."""
+    def float_kernel(self):
+        """``evaluate`` at one float point, as one generated function.
+
+        It skips ``evaluate``'s length and type checks, so a caller that
+        steps many times checks its point once with :meth:`as_point`."""
         namespace = {}
         den, *nums = _calls(self._value_kernels, "k", namespace)
         return _link(self._max_exps, namespace, den, [
@@ -131,8 +134,9 @@ class BetaMap:
         body.append("return [" + ", ".join(f"r{i}" for i in range(n)) + "]")
         return _link(self._max_exps, namespace, den, body)
 
-    def _point(self, values):
-        """``values`` as a list, checked against the coupling count."""
+    def as_point(self, values):
+        """``values`` as a list, raising ValueError unless it holds one
+        value per coupling."""
         values = list(values)
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} couplings, got {len(values)}")
@@ -153,9 +157,9 @@ class BetaMap:
         floats if any value is a float, by the generated kernel, whose
         values are bit-identical to the per-term loop over a float
         ``power_table``."""
-        values = self._point(values)
+        values = self.as_point(values)
         if any(map(isinstance, values, repeat(float))):
-            return self._float_evaluate(values)
+            return self.float_kernel(values)
         at, den = self._at(values)
         return [num.evaluate_exact(at) / den ** p
                 for num, p in zip(self.numerators, self.denominator_powers)]
@@ -172,7 +176,7 @@ class BetaMap:
         """d l'_i / d l_j by the quotient rule on the exact polynomials,
         ``(dn * d - n * p * dd) / d ** (p + 1)``; exact or by a
         generated float kernel, as in ``evaluate``."""
-        values = self._point(values)
+        values = self.as_point(values)
         if any(map(isinstance, values, repeat(float))):
             return self._float_jacobian(values)
         at, den = self._at(values)

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from hfrg import cli, fock, rg
+from hfrg import cli, flows, fock, rg
 from hfrg.flows import vector_field_grid
 from hfrg.models import kondo_model
 from hfrg.rg import rg_step, shipped_map
@@ -147,6 +148,21 @@ def test_undecodable_config_file_exits_three(tmp_path, capsys):
         f"config error: cannot read config file {cfg}: ")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("worked before checking --output")
+
+
+def _refuse_all_work(monkeypatch):
+    """Make every battery, derivation and float computation raise."""
+    for owner, name in [(fock, "verify_lemmas"),
+                        (cli._integration, "verify_identities"),
+                        (cli, "verify_shipped_maps"), (cli, "rg_step"),
+                        (flows, "iterate_flow"),
+                        (flows, "find_fixed_points"),
+                        (flows, "vector_field_grid"), (cli, "omega")]:
+        monkeypatch.setattr(owner, name, _refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["beta", "kondo"],
     ["flow", "--model", "kondo", "--start=0.1,0", "--steps", "2"],
@@ -154,13 +170,35 @@ def test_undecodable_config_file_exits_three(tmp_path, capsys):
     ["vector-field", "--model", "kondo", "--resolution", "2"],
     ["verify", "integration"],
     ["lattice", "--resolution", "2"],
+    ["verify", "all"],
+    ["verify", "maps"],
 ])
-def test_unwritable_output_is_a_config_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_a_config_error(argv, tmp_path, capsys,
+                                             monkeypatch):
+    # reported before any battery, derivation or float work runs
+    _refuse_all_work(monkeypatch)
     target = tmp_path / "missing" / "out"
     assert run(argv + ["--output", str(target)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "kondo"],
+    ["verify", "fock"],
+    ["flow", "--model", "kondo", "--start=0.1,0"],
+    ["fixed-points", "kondo"],
+    ["vector-field", "--model", "kondo"],
+])
+def test_a_failed_run_leaves_an_existing_output(argv, tmp_path,
+                                                monkeypatch):
+    _refuse_all_work(monkeypatch)
+    target = tmp_path / "out"
+    target.write_text("kept\n")
+    with pytest.raises(AssertionError, match="before checking --output"):
+        run(argv + ["--output", str(target)])
+    assert target.read_text() == "kept\n"
 
 
 def test_fixed_points_kondo_reports_both_equilibria(tmp_path):
@@ -256,17 +294,48 @@ def test_bad_flag_values_are_config_errors(argv, field, capsys):
     assert captured.err.startswith(f"config error: field {field!r}")
 
 
-def test_exact_commands_do_not_import_numpy():
-    code = ("import sys\n"
-            "import hfrg.cli\n"
-            "assert 'numpy' not in sys.modules, 'import hfrg.cli'\n"
-            "assert hfrg.cli.main(['beta', 'kondo']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'beta kondo'\n")
+def _fresh_process(code):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_commands_do_not_import_numpy():
+    _fresh_process(
+        "import sys\n"
+        "import hfrg.cli\n"
+        "assert 'numpy' not in sys.modules, 'import hfrg.cli'\n"
+        "for argv in (['beta', 'kondo'],\n"
+        "             ['flow', '--model', 'kondo', '--start=0.03,0.001'],\n"
+        "             ['lattice', '--resolution', '3']):\n"
+        "    assert hfrg.cli.main(argv) == 0\n"
+        "    assert 'numpy' not in sys.modules, argv\n")
+
+
+def test_numpy_commands_import_it_when_called():
+    # flows imports NumPy inside the functions that use it
+    _fresh_process(
+        "import sys\n"
+        "import hfrg.cli\n"
+        "assert hfrg.cli.main(['fixed-points', 'kondo']) == 0\n"
+        "assert hfrg.cli.main(['vector-field', '--model', 'kondo',\n"
+        "                      '--resolution', '3']) == 0\n"
+        "assert 'numpy' in sys.modules\n")
+
+
+@given(st.integers(-10 ** 6, 0),
+       st.lists(st.floats() | st.sampled_from(
+           [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+           min_size=1, max_size=8))
+@example(-1, [math.nan, math.inf, -math.inf, -0.0, 0.0])
+def test_row_templates_format_like_17g(h, values):
+    # the rows of vector-field and lattice, and of flow after its "%d,"
+    fields = ",".join(f"{v:.17g}" for v in values)
+    assert cli._float_fields(len(values)) % tuple(values) == fields
+    assert ("%d," + cli._float_fields(len(values))) % (h, *values) == \
+        f"{h},{fields}"
 
 
 def test_vector_field_json_payload(tmp_path):

@@ -18,6 +18,7 @@ from hfrg.rg import BetaMap, rg_step
 
 G_BETA = rg_step(graphene_model())
 K_BETA = rg_step(kondo_model())
+MAPS = {"graphene": G_BETA, "kondo": K_BETA}
 
 KONDO_L0_STAR = -0.7807256660704317
 KONDO_L1_STAR = 0.05292875274036917
@@ -95,6 +96,65 @@ def test_divergence_cutoff_stops_a_growing_orbit():
 def test_iterate_flow_requires_steps():
     with pytest.raises(ValueError):
         iterate_flow(K_BETA, (0.0, 0.0), 0)
+
+
+def reference_flow(beta, start, max_steps):
+    """``iterate_flow`` as a plain loop of ``beta.evaluate``."""
+    cur = tuple(float(x) for x in start)
+    points = [(0, cur)]
+    for index in range(-1, -max_steps - 1, -1):
+        try:
+            nxt = tuple(beta.evaluate(cur))
+        except (SingularNormalization, ZeroDivisionError, OverflowError):
+            return points, "diverged"
+        if not all(map(math.isfinite, nxt)):
+            return points, "diverged"
+        points.append((index, nxt))
+        if max(map(abs, nxt)) > 1e6:
+            return points, "diverged"
+        if max(abs(a - b) for a, b in zip(nxt, cur)) < 1e-14:
+            return points, "converged"
+        cur = nxt
+    return points, "max steps"
+
+
+@st.composite
+def flow_cases(draw):
+    """(model, start, max_steps)."""
+    model = draw(st.sampled_from(sorted(MAPS)))
+    start = draw(st.lists(st.floats(-2.0, 2.0), min_size=MAPS[model].n,
+                          max_size=MAPS[model].n))
+    return model, start, draw(st.integers(1, 80))
+
+
+@given(flow_cases())
+@settings(max_examples=80, deadline=None)
+@example(("kondo", [-0.3, 0.01], 200))            # converges
+@example(("kondo", [5.0, 5.0], 50))               # diverges past the cutoff
+@example(("graphene", [3.0] + [2.0] * 6, 50))     # diverges
+@example(("graphene", [-1.0] + [0.0] * 6, 10))    # singular normalization
+def test_iterate_flow_is_bit_identical_to_evaluate_steps(case):
+    model, start, max_steps = case
+    beta = MAPS[model]
+    traj = iterate_flow(beta, start, max_steps)
+    points, termination = reference_flow(beta, start, max_steps)
+    # repr tells -0.0 from 0.0
+    assert repr(traj.points) == repr(tuple(points))
+    assert traj.termination == termination
+
+
+@pytest.mark.parametrize("beta", [G_BETA, K_BETA], ids=["graphene", "kondo"])
+def test_wrong_length_start_raises_before_any_step(beta, monkeypatch):
+    start = [0.1] * (beta.n + 1)
+    with pytest.raises(ValueError) as expected:
+        beta.evaluate(start)
+
+    def no_step(values):
+        raise AssertionError("stepped from a wrong-length start")
+    monkeypatch.setitem(vars(beta), "float_kernel", no_step)
+    with pytest.raises(ValueError) as raised:
+        iterate_flow(beta, start, 5)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_stable_eigendirections_contract_on_first_step():
@@ -315,8 +375,6 @@ def assert_rows_identical(rows, expected):
     for row, want in zip(rows, expected):
         assert repr(row) == repr(want)
 
-
-MAPS = {"graphene": G_BETA, "kondo": K_BETA}
 
 
 @st.composite

@@ -193,7 +193,8 @@ def test_mode_matrix_keeps_a_read_only_copy():
     raw[0, 0] = 9.0
     assert mode.mu[0, 0] == 0.5
     for fixture in (mode.eigenbasis[1], mode.operators.hamiltonian,
-                    mode.matsubara_kernel(2.0, 10)[1]):
+                    mode.matsubara_kernel(2.0, 10)[1],
+                    *mode.fourier_weights(2.0, 10)):
         with pytest.raises(ValueError):
             fixture[0, 0] = 1.0
 
@@ -212,6 +213,7 @@ def _fock_outputs(mu):
         matsubara_two_point(mu, 2.0, -0.7, 400),
         matsubara_two_point(mu, 5.0, 0.0, 500),
         fourier_two_point(mu, 2.0, 3, panels=200),
+        fourier_two_point(mu, 2.0, 0, panels=200),
         fourier_two_point(mu, 5.0, 1, panels=200),
         np.array(time_ordered_average(mu, 2.0, factors)),
         np.array(time_ordered_average(mu, 5.0, factors)),
