@@ -58,15 +58,18 @@ def _guard_mask(nvars):
     return ((1 << nvars * BITS) - 1) // _FIELD << (BITS - 1)
 
 
-def _accumulate(out, items):
-    """Add (key, value) pairs into ``out`` in place, dropping zeros."""
+def add_terms(out, items):
+    """Add (key, coefficient) pairs into ``out`` in place; a zero sum
+    is never stored.  A key may arrive with a zero coefficient it never
+    had (a matrix product such as E11 * E22), hence ``pop``."""
     get = out.get
-    for k, v in items:
-        s = get(k, 0) + v
+    for k, c in items:
+        s = get(k)
+        s = c if s is None else s + c
         if s:
             out[k] = s
         else:
-            del out[k]
+            out.pop(k, None)
     return out
 
 
@@ -147,7 +150,7 @@ class CouplingPolynomial:
         g = gcd(da, db)
         fa, fb = db // g, da // g
         out = {k: v * fa for k, v in self._c.items()}
-        _accumulate(out, ((k, v * fb) for k, v in other._c.items()))
+        add_terms(out, ((k, v * fb) for k, v in other._c.items()))
         return CouplingPolynomial._make(self.nvars, out, da * fa)
 
     __radd__ = __add__

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .couplings import add_terms
+
 _SPIN_ORDER = {"up": 0, "dn": 1}
 _CONJ_ORDER = {"+": 0, "-": 1}
 
@@ -47,9 +49,6 @@ class GeneratorId:
     def sort_key(self):
         return (0 if self.kind == "ext" else 1, self.child, self.species,
                 _SPIN_ORDER[self.spin], _CONJ_ORDER[self.conj])
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def __str__(self):
         sp = f".{self.species}" if self.species else ""
@@ -114,6 +113,13 @@ class GrassmannPolynomial:
                     self.terms[m] = c
 
     @classmethod
+    def _of(cls, terms):
+        """Wrap a mask -> coefficient dict that holds no zeros."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def scalar(cls, c):
         return cls({0: c})
 
@@ -127,22 +133,11 @@ class GrassmannPolynomial:
     # -- additive structure --------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        res = GrassmannPolynomial()
-        res.terms = out
-        return res
+        return GrassmannPolynomial._of(
+            add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        res = GrassmannPolynomial()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return GrassmannPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -160,6 +155,7 @@ class GrassmannPolynomial:
                 c = c1 * c2
                 if merge_sign(m1, m2) < 0:
                     c = -c
+                # add_terms written out: fed by a generator it ran slower
                 m = m1 | m2
                 s = out.get(m)
                 s = c if s is None else s + c
@@ -167,25 +163,14 @@ class GrassmannPolynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        res = GrassmannPolynomial()
-        res.terms = out
-        return res
+        return GrassmannPolynomial._of(out)
 
     def scale(self, c):
         """Right-multiply every coefficient by the scalar ``c``."""
         if not c:
             return GrassmannPolynomial()
-        res = GrassmannPolynomial()
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
-
-    def left_scale(self, c):
-        """Left-multiply every coefficient by the scalar ``c``."""
-        if not c:
-            return GrassmannPolynomial()
-        res = GrassmannPolynomial()
-        res.terms = {m: c * v for m, v in self.terms.items()}
-        return res
+        return GrassmannPolynomial._of(
+            {m: v * c for m, v in self.terms.items()})
 
     # -- structure ------------------------------------------------------
 
@@ -207,10 +192,8 @@ class GrassmannPolynomial:
         return max((m.bit_count() for m in self.terms), default=0)
 
     def degree_part(self, d):
-        res = GrassmannPolynomial()
-        res.terms = {m: c for m, c in self.terms.items()
-                     if m.bit_count() == d}
-        return res
+        return GrassmannPolynomial._of(
+            {m: c for m, c in self.terms.items() if m.bit_count() == d})
 
     def is_even(self):
         return all(m.bit_count() % 2 == 0 for m in self.terms)
@@ -236,7 +219,7 @@ class GrassmannPolynomial:
                 raise SubstitutionError(
                     f"substitution image for generator {b} has an "
                     "even-degree term")
-        out = GrassmannPolynomial()
+        out = {}
         for mask, coeff in self.terms.items():
             prod = GrassmannPolynomial.scalar(Fraction(1))
             for b in bits_of(mask):
@@ -244,8 +227,8 @@ class GrassmannPolynomial:
                 if img is None:
                     img = GrassmannPolynomial({1 << b: Fraction(1)})
                 prod = prod * img
-            out = out + prod.left_scale(coeff)
-        return out
+            add_terms(out, ((m, coeff * v) for m, v in prod.terms.items()))
+        return GrassmannPolynomial._of(out)
 
 
 def exp_truncated(p, one=Fraction(1)):

@@ -22,8 +22,11 @@ Two independent routes compute the same functional:
   each ``PropagatorTable`` builds it once, on first use, and keeps it
   (``gaussian_density``); each integrand then costs one product.
 
-They share nothing but the polynomial arithmetic, so agreement is a
-real cross-check of the sign conventions.
+They share nothing but the polynomial arithmetic (products and the
+zero-dropping term accumulator ``add_terms``), so agreement is a real
+cross-check of the sign conventions.  The pairing route solves no
+linear system; the oracle inverts the covariance with ``row_reduce``,
+the exact elimination that projection onto a basis also uses.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 
+from .couplings import add_terms
 from .grassmann import (GeneratorId, GrassmannPolynomial, bits_of,
                         exp_truncated, merge_sign)
 
@@ -104,15 +108,10 @@ class PropagatorTable:
         """Entries as ((minus_bit, plus_bit), value), bit-sorted."""
         return sorted(self._table.items())
 
-    def minus_bits(self):
-        u = self.universe
-        return [i for i, g in enumerate(u.gens)
-                if g.kind == "int" and g.conj == "-"]
-
-    def plus_bits(self):
-        u = self.universe
-        return [i for i, g in enumerate(u.gens)
-                if g.kind == "int" and g.conj == "+"]
+    def internal_bits(self, conj):
+        """Bits of the internal generators of conjugation ``conj``."""
+        return [i for i, g in enumerate(self.universe.gens)
+                if g.kind == "int" and g.conj == conj]
 
     @cached_property
     def gaussian_density(self):
@@ -123,8 +122,8 @@ class PropagatorTable:
         minus_1 plus_1 minus_2 plus_2 ...  Nothing is stored when the
         table is singular or too large, so every call raises again.
         """
-        minus = self.minus_bits()
-        plus = self.plus_bits()
+        minus = self.internal_bits("-")
+        plus = self.internal_bits("+")
         if len(minus) != len(plus):
             raise ValueError("unpaired internal generators")
         n = len(minus)
@@ -183,50 +182,57 @@ def integrate_polynomial(universe, table, poly):
     """Integrate out the internal generators; externals pass through."""
     internal = universe.internal_mask
     cache = {0: Fraction(1)}
-    out = GrassmannPolynomial()
-    acc = out.terms
-    for mask, coeff in poly.terms.items():
-        s = _pairing_value(mask & internal, table.get, cache)
-        if not s:
+    get = table.get
+    return GrassmannPolynomial._of(add_terms({}, (
+        (mask & ~internal, coeff * s) for mask, coeff in poly.terms.items()
+        if (s := _pairing_value(mask & internal, get, cache)))))
+
+
+def row_reduce(rows, n):
+    """Exact Gauss-Jordan elimination over the first ``n`` columns.
+
+    Takes ``rows`` in order and keeps each one that is independent of
+    those kept so far, until ``n`` are kept.  Returns the kept rows,
+    reduced (1 at their own pivot, 0 at every other pivot column) and
+    in pivot-column order, and the determinant of their first ``n``
+    columns: the product of the pivots times the sign of the pivot
+    permutation.  Columns past ``n`` (a right-hand side, an identity
+    block) ride along.
+    """
+    kept = []  # (row, pivot column), in the order the rows were kept
+    det = Fraction(1)
+    for red in rows:
+        for prow, pcol in kept:
+            f = red[pcol]
+            if f:
+                red = [x - f * y for x, y in zip(red, prow)]
+        pcol = next((k for k, v in enumerate(red[:n]) if v), None)
+        if pcol is None:
             continue
-        m = mask & ~internal
-        c = coeff * s
-        prev = acc.get(m)
-        c = c if prev is None else prev + c
-        if c:
-            acc[m] = c
-        else:
-            acc.pop(m, None)
-    return out
+        p = red[pcol]
+        det *= p
+        red = [x / p for x in red]
+        for i, (prow, qcol) in enumerate(kept):
+            f = prow[pcol]
+            if f:
+                kept[i] = ([x - f * y for x, y in zip(prow, red)], qcol)
+        kept.append((red, pcol))
+        if len(kept) == n:
+            break
+    pivots = [pcol for _, pcol in kept]
+    det *= _permutation_sign(pivots, sorted(pivots))
+    return [row for row, _ in sorted(kept, key=lambda w: w[1])], det
 
 
 def _invert_exact(rows):
-    """Exact inverse and determinant by Gauss-Jordan elimination."""
+    """Exact inverse and determinant: ``row_reduce`` on [A | I]."""
     n = len(rows)
-    a = [list(r) + [Fraction(1) if i == j else Fraction(0)
-                    for j in range(n)] for i, r in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularPropagator("propagator matrix is singular")
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [row[n:] for row in a]
-    return inv, det
+    reduced, det = row_reduce(
+        [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, r in enumerate(rows)], n)
+    if len(reduced) < n:
+        raise SingularPropagator("propagator matrix is singular")
+    return [row[n:] for row in reduced], det
 
 
 def _permutation_sign(word, target):
@@ -256,23 +262,14 @@ def berezin_reference_integral(universe, table, poly):
     table (``PropagatorTable.gaussian_density``).
     """
     density, full_int, sigma2 = table.gaussian_density
-    full = density * poly
-
-    internal_mask = universe.internal_mask
-    out = GrassmannPolynomial()
-    for mask, coeff in full.terms.items():
-        if mask & internal_mask != full_int:
-            continue
-        ext_mask = mask & ~internal_mask
-        sigma1 = merge_sign(ext_mask, full_int)
-        c = coeff if sigma1 * sigma2 > 0 else -coeff
-        prev = out.terms.get(ext_mask)
-        c = c if prev is None else prev + c
-        if c:
-            out.terms[ext_mask] = c
-        else:
-            out.terms.pop(ext_mask, None)
-    return out
+    internal = universe.internal_mask
+    # a term with the full internal part is its external part times
+    # the top monomial, so no two terms share an external mask
+    top = ((mask & ~internal, c) for mask, c in (density * poly).terms.items()
+           if mask & internal == full_int)
+    return GrassmannPolynomial._of(
+        {ext: c if merge_sign(ext, full_int) == sigma2 else -c
+         for ext, c in top})
 
 
 # ------------------------------------------------------------- verification

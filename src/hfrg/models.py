@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .couplings import add_terms
 from .grassmann import GeneratorId, GrassmannPolynomial
-from .integration import PropagatorTable, Universe
+from .integration import PropagatorTable, Universe, row_reduce
 from .scalars import ImpurityElement
 
 UP, DN = "up", "dn"
@@ -33,6 +34,15 @@ def _ext(species, spin, conj):
 
 def _int(child, species, spin, conj):
     return GeneratorId("int", child, species, spin, conj)
+
+
+def _field_images(u, child, scale_by_conj):
+    """Field split of one replica factor: each external generator g
+    becomes its fluctuation partner in box ``child`` plus g scaled by
+    ``scale_by_conj[g.conj]``."""
+    return {u.bit_of[g]: u.generator(_int(child, g.species, g.spin, g.conj))
+            + u.generator(g).scale(scale_by_conj[g.conj])
+            for g in u.gens if g.kind == "ext"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +162,8 @@ def graphene_model():
         entries[(_int(0, "a", s, MINUS), _int(0, "b", s, PLUS))] = Fraction(-1)
         entries[(_int(0, "b", s, MINUS), _int(0, "a", s, PLUS))] = Fraction(-1)
     table = PropagatorTable(u, entries)
-    images = {}
-    for g in u.gens:
-        if g.kind != "ext":
-            continue
-        partner = _int(0, g.species, g.spin, g.conj)
-        images[u.bit_of[g]] = u.generator(partner) \
-            + u.generator(g).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    images = _field_images(u, 0, {PLUS: half, MINUS: half})
     return ModelSpec(
         name="graphene",
         gamma=Fraction(1),
@@ -247,16 +252,7 @@ def kondo_model(propagator_variant="cross_antisymmetric"):
                 Fraction(val)
     table = PropagatorTable(u, entries, blocks=[{0, 1}])
     scale = {PLUS: Fraction(1, 2), MINUS: Fraction(1)}
-    images = []
-    for half in (0, 1):
-        img = {}
-        for g in u.gens:
-            if g.kind != "ext":
-                continue
-            partner = _int(half, "", g.spin, g.conj)
-            img[u.bit_of[g]] = u.generator(partner) \
-                + u.generator(g).scale(scale[g.conj])
-        images.append(img)
+    images = [_field_images(u, half, scale) for half in (0, 1)]
     return ModelSpec(
         name="kondo",
         gamma=Fraction(1, 2),
@@ -306,36 +302,18 @@ def project_onto_basis(p, basis):
             for j, s in _impurity_components(c):
                 row = coords.setdefault((mask, j), [Fraction(0)] * n)
                 row[i] = s
-    # one Gauss-Jordan pass over the coordinate rows, each augmented
-    # with p's coordinate, until n independent rows are in reduced form
-    work = []
-    for coord in sorted(coords):
-        red = coords[coord] + [_component(
-            p.terms.get(coord[0], Fraction(0)), coord[1])]
-        for prow, pcol in work:
-            f = red[pcol]
-            if f:
-                red = [x - f * y for x, y in zip(red, prow)]
-        pcol = next((k for k, v in enumerate(red[:n]) if v), None)
-        if pcol is None:
-            continue
-        red = [x / red[pcol] for x in red]
-        for i, (prow, qcol) in enumerate(work):
-            f = prow[pcol]
-            if f:
-                work[i] = ([x - f * y for x, y in zip(prow, red)], qcol)
-        work.append((red, pcol))
-        if len(work) == n:
-            break
-    if len(work) < n:
+    # the coordinate rows, each augmented with p's coordinate
+    rows = (coords[c] + [_component(p.terms.get(c[0], Fraction(0)), c[1])]
+            for c in sorted(coords))
+    reduced, _ = row_reduce(rows, n)
+    if len(reduced) < n:
         raise ValueError("basis is not linearly independent")
-    x = [row[n] for row, _ in sorted(work, key=lambda w: w[1])]
+    x = [row[n] for row in reduced]
 
-    recon = GrassmannPolynomial()
+    recon = {}
     for xi, bp in zip(x, polys):
-        recon = recon + bp.left_scale(xi)
-    residual = p - recon
-    return x, residual
+        add_terms(recon, ((m, xi * v) for m, v in bp.terms.items()))
+    return x, p - GrassmannPolynomial._of(recon)
 
 
 # -------------------------------------------------------------- fingerprint

@@ -13,6 +13,7 @@ from hfrg.couplings import CouplingPolynomial
 from hfrg.grassmann import (GrassmannPolynomial, SingularNormalization,
                             SubstitutionError, bits_of, canonicalize_bits,
                             exp_truncated, log_truncated, merge_sign)
+from hfrg.scalars import ImpurityElement
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -73,6 +74,7 @@ def test_basic_anticommutation():
 def test_associativity_and_distributivity(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert (p + q) * r == p * r + q * r
+    assert (p + (-p)).terms == {}
 
 
 def odd_images(max_bit):
@@ -147,3 +149,20 @@ def test_scalar_coefficient_interop():
     q = p.scale(Fraction(1, 2))
     assert q.terms[0b11] == x / 2
     assert bits_of(0b1010) == [1, 3]
+
+
+def test_zero_matrix_coefficients_are_never_stored():
+    """E11 * E22 == 0 for a key not yet stored, and E11 + E22 - 1 == 0
+    for a stored one: neither product, sum nor substitution keeps it."""
+    e11, e22 = ImpurityElement.unit(0, 0), ImpurityElement.unit(1, 1)
+    a = GrassmannPolynomial({0b01: e11})
+    b = GrassmannPolynomial({0b10: e22})
+    assert (a * b).terms == {}
+    assert (b * a).terms == {}
+    assert (a * GrassmannPolynomial({0b10: e11})).terms == {0b11: e11}
+    p = a + b
+    assert (p + (-p)).terms == {}
+    assert (GrassmannPolynomial({0b01: e11 + e22})
+            + GrassmannPolynomial({0b01: ImpurityElement.scalar(-1)})
+            ).terms == {}
+    assert a.substitute({0: GrassmannPolynomial({0b100: e22})}).terms == {}

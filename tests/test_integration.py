@@ -11,12 +11,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial
 from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
                               berezin_reference_integral, _invert_exact,
-                              integrate_polynomial)
+                              integrate_polynomial, row_reduce)
+from hfrg.scalars import ImpurityElement
 
 
 def pair_gen(k, conj, child=0):
@@ -294,3 +295,99 @@ def test_alternating_product_is_signed_pairing_sum():
             want = GrassmannPolynomial.scalar(expected)
             assert got == want or (not got and not want)
             assert berezin_reference_integral(u, t, f) == got
+
+
+def test_cancelling_contributions_integrate_to_zero():
+    """Two internal pairs reach one external monomial with contributions
+    c * 2 and (-2c/3) * 3; the sum is the zero polynomial, not a stored
+    zero coefficient, for rational and matrix coefficients."""
+    u = make_universe(2, n_ext=1)
+    t = PropagatorTable(u, {
+        (pair_gen(0, "-"), pair_gen(0, "+")): Fraction(2),
+        (pair_gen(1, "-"), pair_gen(1, "+")): Fraction(3)})
+    e = u.generator(ext_gen(0))
+
+    def pair(k):
+        return e * u.generator(pair_gen(k, "-")) * u.generator(
+            pair_gen(k, "+"))
+
+    for c in (Fraction(5, 7), ImpurityElement.unit(0, 0)):
+        f = pair(0).scale(c) + pair(1).scale(-c * Fraction(2, 3))
+        assert integrate_polynomial(u, t, pair(0).scale(c)) == e.scale(2 * c)
+        assert integrate_polynomial(u, t, f).terms == {}
+        assert berezin_reference_integral(u, t, f).terms == {}
+
+
+def leibniz_det(a):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(a))):
+        term = Fraction(inversion_sign(perm))
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # the last row a combination of the others: rank below n
+        cs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum(c * row[j] for c, row in zip(cs, a)) for j in range(n)]
+    return a
+
+
+@given(square_matrices())
+@example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+@example([[Fraction(0), Fraction(1), Fraction(1)],
+          [Fraction(2), Fraction(0), Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(3)]])
+def test_exact_inverse_matches_leibniz_determinant(a):
+    """The determinant is the product of the pivots times the sign of
+    the pivot permutation; the examples need an odd permutation."""
+    det = leibniz_det(a)
+    if not det:
+        with pytest.raises(SingularPropagator):
+            _invert_exact(a)
+        return
+    inv, got = _invert_exact(a)
+    n = len(a)
+    assert got == det
+    assert [[sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == identity(n)
+
+
+@st.composite
+def consistent_systems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n + 1, n + 3))
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    x = draw(st.lists(entries, min_size=n, max_size=n))
+    return a, x
+
+
+@given(consistent_systems())
+def test_row_reduce_solves_overdetermined_systems(system):
+    a, x = system
+    n = len(x)
+    dot = lambda row: sum(c * xi for c, xi in zip(row, x))
+    reduced, det = row_reduce([row + [dot(row)] for row in a], n)
+    full_rank = any(leibniz_det([a[i] for i in pick])
+                    for pick in itertools.combinations(range(len(a)), n))
+    assert (len(reduced) == n) == full_rank
+    for row in reduced:
+        assert dot(row[:n]) == row[n]
+    if full_rank:
+        assert [row[:n] for row in reduced] == identity(n)
+        assert [row[n] for row in reduced] == x
+        assert det
