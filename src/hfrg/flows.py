@@ -21,6 +21,7 @@ CONVERGE_TOL = 1e-14
 DIVERGE_CUTOFF = 1e6
 MARGINAL_BAND = 1e-9
 DEDUPE_TOL = 1e-8
+NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 100
 NEWTON_MAX_HALVINGS = 20
 
@@ -120,8 +121,7 @@ def stability(beta, point):
     Jacobian evaluated at ``point``."""
     import numpy as np
     loc = tuple(float(x) for x in point)
-    image = beta.evaluate(loc)
-    residual = _inf_norm([a - b for a, b in zip(image, loc)])
+    residual = _inf_norm(_residual_vector(beta, loc))
     jac = np.array(beta.jacobian(loc), dtype=float)
     moduli = tuple(sorted((float(abs(z)) for z in np.linalg.eigvals(jac)),
                           reverse=True))
@@ -138,14 +138,14 @@ def _residual_vector(beta, x):
     return [a - b for a, b in zip(beta.evaluate(x), x)]
 
 
-def _newton(beta, seed, tol):
+def _newton(beta, seed):
     """Damped Newton on beta(x) - x; None when the seed is abandoned.
 
     Iteration continues while the residual strictly decreases, not
-    just until it first dips below ``tol``: at a marginal equilibrium
-    the linearization of beta(x) - x is singular at the root, so the
-    tolerance is met a wide puddle away from the actual point and only
-    the extra polishing steps contract onto it.
+    just until it first dips below ``NEWTON_TOL``: at a marginal
+    equilibrium the linearization of beta(x) - x is singular at the
+    root, so the tolerance is met a wide puddle away from the actual
+    point and only the extra polishing steps contract onto it.
     """
     import numpy as np
     x = [float(v) for v in seed]
@@ -187,22 +187,20 @@ def _newton(beta, seed, tol):
             scale /= 2.0
         if not improved:
             break
-    return tuple(x) if fnorm <= tol else None
+    return tuple(x) if fnorm <= NEWTON_TOL else None
 
 
-def find_fixed_points(beta, seeds, tol=1e-12):
+def find_fixed_points(beta, seeds):
     """Newton-solve beta(x) = x from each seed with the exact Jacobian.
 
     Converged locations closer than the deduplication tolerance to an
     earlier find are dropped; abandoned seeds are recorded on the
     returned list.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     reports = []
     abandoned = []
     for seed in seeds:
-        location = _newton(beta, seed, tol)
+        location = _newton(beta, seed)
         if location is None:
             abandoned.append(tuple(float(v) for v in seed))
             continue

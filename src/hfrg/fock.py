@@ -11,9 +11,9 @@ The fixtures are built once per object they depend on.  A
 ``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
 its ``FockOperatorSet``, its eigenbasis, its ``_ThermalState`` per
 beta, its Matsubara kernel per (beta, cutoff) and its Fourier weights
-per (beta, panels); one call computes each decay e^{-s H} of its trace
-once.  A function given a raw array builds a fresh ``ModeMatrix`` and
-keeps nothing, so a caller that reuses one mode matrix passes the
+per beta; one call computes each decay e^{-s H} of its trace once.  A
+function given a raw array builds a fresh ``ModeMatrix`` and keeps
+nothing, so a caller that reuses one mode matrix passes the
 ``ModeMatrix`` itself.
 """
 
@@ -28,6 +28,7 @@ MAX_MODES = 4
 MAX_BETA = 50.0
 HERMITIAN_TOL = 1e-12
 CAR_TOL = 1e-13
+FOURIER_PANELS = 10 ** 4
 
 
 class ModeMatrix:
@@ -93,24 +94,23 @@ class ModeMatrix:
             kernel = self._kernels[key] = _frozen(k0, resolvent + correction)
         return kernel
 
-    def fourier_weights(self, beta, panels):
+    def fourier_weights(self, beta):
         """(taus, w_pos, w_neg): the midpoints dt * (j + 1/2) of the
-        panels // 2 panels of width dt = beta / (panels // 2) on each
-        side of tau = 0, and the closed-form two-point function in the
-        eigenbasis at +tau and at tau - beta, one row per midpoint and
-        one column per eigenvalue; ``fourier_two_point`` weights the
+        half = FOURIER_PANELS // 2 panels of width dt = beta / half on
+        each side of tau = 0, and the closed-form two-point function in
+        the eigenbasis at +tau and at tau - beta, one row per midpoint
+        and one column per eigenvalue; ``fourier_two_point`` weights the
         rows by the phases of one frequency."""
-        key = (beta, panels)
-        weights = self._fourier.get(key)
+        weights = self._fourier.get(beta)
         if weights is None:
             lam = self.eigenbasis[0]
             log_occ = -np.logaddexp(0.0, -beta * lam)
-            half = panels // 2
+            half = FOURIER_PANELS // 2
             taus = (beta / half) * (np.arange(half) + 0.5)
             w_pos = np.exp(-taus[:, None] * lam[None, :] + log_occ[None, :])
             w_neg = -np.exp((taus[:, None] - beta) * lam[None, :]
                             + log_occ[None, :])
-            weights = self._fourier[key] = _frozen(taus, w_pos, w_neg)
+            weights = self._fourier[beta] = _frozen(taus, w_pos, w_neg)
         return weights
 
 
@@ -282,19 +282,17 @@ def matsubara_two_point(mu, beta, tau, cutoff):
     return (u * weights) @ u.conj().T + half * np.eye(mode.n)
 
 
-def fourier_two_point(mu, beta, k_index, panels=10 ** 4):
+def fourier_two_point(mu, beta, k_index):
     """Quadrature Fourier coefficient (1/2) int_{-beta}^{beta}
     e^{i k0 tau} s(tau) dtau of the closed-form two-point function at
     the half-integer frequency indexed by ``k_index``; the midpoint
     rule is applied separately on each side of the tau = 0 jump."""
     mode = _as_mode(mu)
     _check_beta(beta)
-    if panels < 2:
-        raise ValueError("need at least one panel per side")
     u = mode.eigenbasis[1]
     k0 = (2 * np.pi / beta) * (k_index + 0.5)
-    dt = beta / (panels // 2)
-    taus, w_pos, w_neg = mode.fourier_weights(beta, panels)
+    dt = beta / (FOURIER_PANELS // 2)
+    taus, w_pos, w_neg = mode.fourier_weights(beta)
     phase_pos = np.exp(1j * k0 * taus)
     phase_neg = np.exp(-1j * k0 * taus)
     coeff = (phase_pos[:, None] * w_pos

@@ -166,11 +166,10 @@ class GrassmannPolynomial:
         return GrassmannPolynomial._of(out)
 
     def scale(self, c):
-        """Right-multiply every coefficient by the scalar ``c``."""
-        if not c:
-            return GrassmannPolynomial()
+        """Right-multiply every coefficient by the scalar ``c``; a zero
+        product, such as E11 * E22, is not stored."""
         return GrassmannPolynomial._of(
-            {m: v * c for m, v in self.terms.items()})
+            {m: p for m, v in self.terms.items() if (p := v * c)})
 
     # -- structure ------------------------------------------------------
 
@@ -181,9 +180,6 @@ class GrassmannPolynomial:
         if not isinstance(other, GrassmannPolynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def coefficient(self, mask):
-        return self.terms.get(mask, Fraction(0))
 
     def constant_term(self):
         return self.terms.get(0, Fraction(0))

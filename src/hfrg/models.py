@@ -218,24 +218,14 @@ def _kondo_operators(u):
     ))
 
 
-# Candidate half-box covariances, keyed by (minus half, plus half)
-# with a sign.  Only the antisymmetric cross-half pairing keeps the
-# integrated interaction inside the two-operator basis (the others
-# generate a spin-diagonal quadratic with no identity-tensor partner)
-# and it alone reproduces the known closed-form coupling map; the
-# calibration lives in the rg tests.
-KONDO_PROPAGATOR_VARIANTS = {
-    "cross_symmetric": {(0, 1): 1, (1, 0): 1},
-    "cross_antisymmetric": {(0, 1): 1, (1, 0): -1},
-    "cross_negative": {(0, 1): -1, (1, 0): -1},
-    "half_diagonal": {(0, 0): 1, (1, 1): 1},
-    "half_diagonal_negative": {(0, 0): -1, (1, 1): -1},
-}
-
-
-def kondo_model(propagator_variant="cross_antisymmetric"):
+def kondo_model():
     """Spin-impurity spec: two half-box fluctuation fields integrated
     jointly, the coarse psi+ scaled by 1/2 and psi- by 1 in both factors.
+
+    The half-box covariance is the antisymmetric cross-half pairing:
+    psi- of half 0 with psi+ of half 1 is 1, psi- of half 1 with psi+
+    of half 0 is -1, for each spin.  The rg tests hold the calibration
+    candidates: every other pairing leaves the two-operator basis.
 
     The model's coarse field scale is 2**(-1/2) on every generator; the
     rational split gives the same map because every propagator entry
@@ -244,12 +234,8 @@ def kondo_model(propagator_variant="cross_antisymmetric"):
     pair carries 1/2 = (2**(-1/2))**2 either way.
     """
     u = _kondo_universe()
-    pattern = KONDO_PROPAGATOR_VARIANTS[propagator_variant]
-    entries = {}
-    for (hm, hp), val in pattern.items():
-        for s in (UP, DN):
-            entries[(_int(hm, "", s, MINUS), _int(hp, "", s, PLUS))] = \
-                Fraction(val)
+    entries = {(_int(hm, "", s, MINUS), _int(hp, "", s, PLUS)): Fraction(v)
+               for hm, hp, v in ((0, 1, 1), (1, 0, -1)) for s in (UP, DN)}
     table = PropagatorTable(u, entries, blocks=[{0, 1}])
     scale = {PLUS: Fraction(1, 2), MINUS: Fraction(1)}
     images = [_field_images(u, half, scale) for half in (0, 1)]

@@ -194,7 +194,7 @@ def test_zero_hopping_slice_is_sourced_not_contracting():
 
 def test_kondo_grid_finds_both_equilibria():
     seeds = [(a / 2, b / 2) for a in range(-2, 3) for b in range(-2, 3)]
-    reports = find_fixed_points(K_BETA, seeds, tol=1e-12)
+    reports = find_fixed_points(K_BETA, seeds)
     assert len(reports) == 2
     assert not reports.abandoned_seeds
     by_l0 = sorted(reports, key=lambda r: r.location[0])
@@ -210,7 +210,7 @@ def test_kondo_grid_finds_both_equilibria():
 
 
 def test_kondo_nontrivial_point_solves_the_cubic():
-    reports = find_fixed_points(K_BETA, [(-0.8, 0.05)], tol=1e-12)
+    reports = find_fixed_points(K_BETA, [(-0.8, 0.05)])
     (report,) = reports
     x0 = 3 * report.location[1]
     assert abs(4 - 19 * x0 - 22 * x0 ** 2 - 107 * x0 ** 3) <= 1e-10
@@ -221,7 +221,7 @@ def test_kondo_nontrivial_point_solves_the_cubic():
 
 def test_graphene_seeds_find_exactly_two_equilibria():
     seeds = [[0.05] * 7, [0.9] + [0.05] * 6, [0.5] * 7]
-    reports = find_fixed_points(G_BETA, seeds, tol=1e-12)
+    reports = find_fixed_points(G_BETA, seeds)
     assert len(reports) == 2
     assert not reports.abandoned_seeds
     origin = min(reports, key=lambda r: abs(r.location[0]))
@@ -247,24 +247,19 @@ def test_stability_reports_match_search():
 
 def test_rootless_map_abandons_all_seeds():
     beta = toy_map({0: 1, 1: 1, 2: 1})   # beta(x) - x = 1 + x**2 > 0
-    reports = find_fixed_points(beta, [(0.0,), (3.0,), (-2.0,)], tol=1e-12)
+    reports = find_fixed_points(beta, [(0.0,), (3.0,), (-2.0,)])
     assert list(reports) == []
     assert reports.abandoned_seeds == ((0.0,), (3.0,), (-2.0,))
 
 
 def test_singular_linearization_abandons_unconverged_seed():
     beta = toy_map({2: 1})                # beta(x) = x**2
-    reports = find_fixed_points(beta, [(0.5,), (0.9,)], tol=1e-12)
+    reports = find_fixed_points(beta, [(0.5,), (0.9,)])
     # at x = 0.5 the derivative of beta(x) - x vanishes: abandoned;
     # the other seed converges to the fixed point at 1
     assert reports.abandoned_seeds == ((0.5,),)
     assert len(reports) == 1
     assert reports[0].location[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_find_fixed_points_validates_tolerance():
-    with pytest.raises(ValueError):
-        find_fixed_points(K_BETA, [(0.0, 0.0)], tol=0.0)
 
 
 # -- power counting -------------------------------------------------------

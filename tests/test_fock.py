@@ -135,7 +135,7 @@ def test_quadrature_fourier_coefficient_matches_resolvent(beta):
         for k_index in range(5):
             k0 = (2 * np.pi / beta) * (k_index + 0.5)
             target = (u * (1.0 / (-1j * k0 + lam))) @ u.conj().T
-            got = fourier_two_point(mode, beta, k_index, panels=10 ** 4)
+            got = fourier_two_point(mode, beta, k_index)
             assert np.max(np.abs(got - target)) < 1e-4
 
 
@@ -194,7 +194,7 @@ def test_mode_matrix_keeps_a_read_only_copy():
     assert mode.mu[0, 0] == 0.5
     for fixture in (mode.eigenbasis[1], mode.operators.hamiltonian,
                     mode.matsubara_kernel(2.0, 10)[1],
-                    *mode.fourier_weights(2.0, 10)):
+                    *mode.fourier_weights(2.0)):
         with pytest.raises(ValueError):
             fixture[0, 0] = 1.0
 
@@ -212,9 +212,9 @@ def _fock_outputs(mu):
         matsubara_two_point(mu, 2.0, 0.7, 500),
         matsubara_two_point(mu, 2.0, -0.7, 400),
         matsubara_two_point(mu, 5.0, 0.0, 500),
-        fourier_two_point(mu, 2.0, 3, panels=200),
-        fourier_two_point(mu, 2.0, 0, panels=200),
-        fourier_two_point(mu, 5.0, 1, panels=200),
+        fourier_two_point(mu, 2.0, 3),
+        fourier_two_point(mu, 2.0, 0),
+        fourier_two_point(mu, 5.0, 1),
         np.array(time_ordered_average(mu, 2.0, factors)),
         np.array(time_ordered_average(mu, 5.0, factors)),
         np.array(wick_check(mu, 2.0, 2, (0.1, 0.5, 0.5, 1.7), (0, 1, 2, 0))),

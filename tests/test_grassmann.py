@@ -166,3 +166,6 @@ def test_zero_matrix_coefficients_are_never_stored():
             + GrassmannPolynomial({0b01: ImpurityElement.scalar(-1)})
             ).terms == {}
     assert a.substitute({0: GrassmannPolynomial({0b100: e22})}).terms == {}
+    assert a.scale(e22).terms == {}
+    assert (a * e22).terms == {}
+    assert a.scale(e11).terms == {0b01: e11}

@@ -89,7 +89,7 @@ def test_kondo_exchange_components():
         c0, c1, y, c3 = coeff.pauli_components()
         assert c0 == 0
         got = (complex(c1), 1j * complex(y), complex(c3))
-        expected = tuple(bilinears[j].coefficient(mask) for j in (1, 2, 3))
+        expected = tuple(bilinears[j].terms.get(mask, 0) for j in (1, 2, 3))
         assert got == expected, mask
         components += sum(1 for v in got if v)
     # six elementary monomial (x) axis terms, as the Pauli form counts

@@ -14,9 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from hfrg.couplings import CouplingPolynomial, power_table
 from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
                             SingularNormalization, bits_of)
-from hfrg.integration import integrate_polynomial
-from hfrg.models import (KONDO_PROPAGATOR_VARIANTS, OperatorBasis,
-                         graphene_model, kondo_model)
+from hfrg.integration import PropagatorTable, integrate_polynomial
+from hfrg.models import OperatorBasis, graphene_model, kondo_model
 from hfrg.rg import (SHIPPED, UNITS, BetaMap, SymmetryViolation,
                      _formal_interaction, rg_step, shipped_map)
 from hfrg.scalars import ImpurityElement
@@ -59,6 +58,36 @@ def test_kondo_closed_form():
     assert K_BETA.term_count == 5
 
 
+# Candidate half-box covariances, keyed by (minus half, plus half)
+# with a sign.  Only the antisymmetric cross-half pairing keeps the
+# integrated interaction inside the two-operator basis (the others
+# generate a spin-diagonal quadratic with no identity-tensor partner)
+# and it alone reproduces the known closed-form coupling map.
+KONDO_PROPAGATOR_VARIANTS = {
+    "cross_symmetric": {(0, 1): 1, (1, 0): 1},
+    "cross_antisymmetric": {(0, 1): 1, (1, 0): -1},
+    "cross_negative": {(0, 1): -1, (1, 0): -1},
+    "half_diagonal": {(0, 0): 1, (1, 1): 1},
+    "half_diagonal_negative": {(0, 0): -1, (1, 1): -1},
+}
+
+
+def kondo_variant(variant):
+    """The Kondo spec with the named candidate covariance."""
+    entries = {
+        (GeneratorId("int", hm, "", s, "-"),
+         GeneratorId("int", hp, "", s, "+")): Fraction(val)
+        for (hm, hp), val in KONDO_PROPAGATOR_VARIANTS[variant].items()
+        for s in ("up", "dn")}
+    return replace(KONDO, propagator=PropagatorTable(
+        KONDO.universe, entries, blocks=[{0, 1}]))
+
+
+def test_kondo_model_uses_the_calibrated_propagator():
+    assert KONDO.propagator.items() == \
+        kondo_variant("cross_antisymmetric").propagator.items()
+
+
 def test_kondo_rejects_miscalibrated_propagators():
     # exactly one pairing pattern keeps the integrated interaction
     # inside the two-operator basis; every other candidate leaves
@@ -67,7 +96,7 @@ def test_kondo_rejects_miscalibrated_propagators():
         if variant == "cross_antisymmetric":
             continue
         with pytest.raises(SymmetryViolation):
-            rg_step(kondo_model(propagator_variant=variant))
+            rg_step(kondo_variant(variant))
 
 
 def test_kondo_rejects_non_scalar_normalization():
@@ -86,7 +115,7 @@ def test_kondo_product_is_charge_neutral(variant):
     # every coarse monomial of the integrated product carries as many
     # psi+ as psi-, so scaling psi+ by 1/2 and psi- by 1 gives each
     # monomial the same factor as 2**(-1/2) on every coarse generator
-    spec = kondo_model(propagator_variant=variant)
+    spec = kondo_variant(variant)
     u = spec.universe
     w = _formal_interaction(spec)
     one = GrassmannPolynomial.scalar(
