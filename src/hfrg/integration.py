@@ -22,11 +22,12 @@ Two independent routes compute the same functional:
   each ``PropagatorTable`` builds it once, on first use, and keeps it
   (``gaussian_density``); each integrand then costs one product.
 
-They share nothing but the polynomial arithmetic (products and the
-zero-dropping term accumulator ``add_terms``), so agreement is a real
-cross-check of the sign conventions.  The pairing route solves no
-linear system; the oracle inverts the covariance with ``row_reduce``,
-the exact elimination that projection onto a basis also uses.
+They share nothing but the polynomial arithmetic (products, the
+zero-dropping term accumulator ``add_terms`` and the sorting sign
+``canonicalize_bits``), so agreement is a real cross-check of the sign
+conventions.  The pairing route solves no linear system; the oracle
+inverts the covariance with ``row_reduce``, the exact elimination that
+projection onto a basis also uses.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 
 from .couplings import add_terms
 from .grassmann import (GeneratorId, GrassmannPolynomial, bits_of,
-                        exp_truncated, merge_sign)
+                        canonicalize_bits, exp_truncated, merge_sign)
 
 
 class SingularPropagator(ValueError):
@@ -147,8 +148,7 @@ class PropagatorTable:
         reference = []
         for mb, pb in zip(minus, plus):
             reference.extend((mb, pb))
-        return density, full_int, _permutation_sign(sorted(reference),
-                                                    reference)
+        return density, full_int, canonicalize_bits(reference)[1]
 
 
 def _pairing_value(mask, get, cache):
@@ -220,7 +220,7 @@ def row_reduce(rows, n):
         if len(kept) == n:
             break
     pivots = [pcol for _, pcol in kept]
-    det *= _permutation_sign(pivots, sorted(pivots))
+    det *= canonicalize_bits(pivots)[1]
     return [row for row, _ in sorted(kept, key=lambda w: w[1])], det
 
 
@@ -233,25 +233,6 @@ def _invert_exact(rows):
     if len(reduced) < n:
         raise SingularPropagator("propagator matrix is singular")
     return [row[n:] for row in reduced], det
-
-
-def _permutation_sign(word, target):
-    order = {b: i for i, b in enumerate(target)}
-    perm = [order[b] for b in word]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def berezin_reference_integral(universe, table, poly):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -538,3 +539,32 @@ def test_fixed_points_abandons_a_singular_seed(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["fixed_points"] == []
     assert obj["abandoned_seeds"] == [[-1.0] + [0.0] * 6]
+
+
+def test_outputs_match_their_committed_digests(tmp_path, capsys):
+    """Each command in ``tests/data/cli_outputs.json`` keeps its stdout,
+    stderr and exit code byte for byte.
+
+    The float commands' digests pin the libm and LAPACK bits of the
+    platform that generated them: another platform may differ in the
+    last digit of a float and fail here with correct code.  A mismatch writes the actual output
+    under ``tmp_path`` and names the file.
+    """
+    cases = json.loads(
+        (Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+    mismatches = []
+    for i, case in enumerate(cases):
+        code = run(case["argv"])
+        out, err = (text.encode() for text in capsys.readouterr())
+        got = {"argv": case["argv"], "exit_code": code,
+               "stdout_sha256": hashlib.sha256(out).hexdigest(),
+               "stdout_bytes": len(out),
+               "stderr_sha256": hashlib.sha256(err).hexdigest()}
+        if got != case:
+            dump = tmp_path / f"case{i}"
+            dump.mkdir()
+            (dump / "stdout").write_bytes(out)
+            (dump / "stderr").write_bytes(err)
+            mismatches.append(f"{' '.join(case['argv'])}: exit {code}, "
+                              f"{len(out)} stdout bytes, output in {dump}")
+    assert not mismatches, "\n".join(mismatches)

@@ -369,3 +369,19 @@ def test_graphene_term_count():
         [20, 21, 33, 33, 33, 141, 606]
     assert G_BETA.term_count == 887
     assert len(G_BETA.denominator.terms) == 21
+
+
+def test_shipped_graphene_map_keeps_the_su2_plane():
+    # SU(2) leaves the quartic plane l3 = 2*l2 invariant; l2' and l3'
+    # share the denominator power, so N3 - 2*N2 must vanish on the
+    # plane.  Substitute exactly: each l3**k becomes 2**k * l2**k.
+    beta = shipped_map("graphene")
+    assert beta.denominator_powers[2] == beta.denominator_powers[3]
+    diff = beta.numerators[3] - 2 * beta.numerators[2]
+    assert diff  # the identity holds only on the plane
+    restricted = {}
+    for e, c in diff.terms.items():
+        k = e[3]
+        exps = e[:2] + (e[2] + k, 0) + e[4:]
+        restricted[exps] = restricted.get(exps, 0) + c * 2 ** k
+    assert not CouplingPolynomial(beta.n, restricted)
