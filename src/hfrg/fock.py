@@ -3,9 +3,10 @@
 Everything here is brute force on 2**N-dimensional matrices (N <= 4):
 thermal two-point functions as literal traces, their closed forms
 through the mode eigenbasis, the frequency-sum representation, and the
-determinant reduction of time-ordered 2n-point averages.  The point is
-to have an independent numeric oracle, so nothing in this module
-shares code with the symbolic integration layer.
+determinant reduction of time-ordered 2n-point averages.  The dense
+traces are the independent numeric side: they share no code with the
+symbolic integration layer, and the ``wick_rule`` lemma holds that
+layer's Gaussian integral (``integrate_polynomial``) to them.
 
 The fixtures are built once per object they depend on.  A
 ``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
@@ -19,10 +20,13 @@ nothing, so a caller that reuses one mode matrix passes the
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 import numpy as np
+
+from .grassmann import GeneratorId, GrassmannPolynomial, canonicalize_bits
+from .integration import (PropagatorTable, Universe, integrate_polynomial,
+                          lemma_record)
 
 MAX_MODES = 4
 MAX_BETA = 50.0
@@ -305,15 +309,6 @@ def _ordering_key(factor):
     return (-t, 0 if kind == "-" else 1, index)
 
 
-def _permutation_sign(order):
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
-
 def time_ordered_average(mu, beta, factors):
     """Thermal average of a time-ordered product of evolved mode
     operators, by dense trace.
@@ -334,7 +329,7 @@ def time_ordered_average(mu, beta, factors):
     state = mode.thermal_state(beta)
     order = sorted(range(len(factors)),
                    key=lambda k: _ordering_key(factors[k]))
-    sign = _permutation_sign(order)
+    sign = canonicalize_bits(order)[1]
     times = [factors[k][0] for k in order]
     mats = [ops.annihilators[factors[k][2]] if factors[k][1] == "-"
             else ops.creators[factors[k][2]] for k in order]
@@ -348,7 +343,10 @@ def wick_check(mu, beta, n, times, indices):
     ``times`` is (t_1..t_n, tbar_1..tbar_n) and ``indices`` is
     (j_1..j_n, jbar_1..jbar_n).  Returns (lhs, rhs): the dense-trace
     average of T(prod a^-_{j_i}(t_i) a^+_{jbar_i}(tbar_i)) against the
-    signed sum over pairings of two-point averages.
+    engine's Gaussian integral (``integrate_polynomial``) of the word
+    psi-_1 psi+_1 ... psi-_n psi+_n, whose covariance entry
+    (psi-_a, psi+_b) is the dense two-point value
+    ``thermal_two_point(mu, beta, t_a, tbar_b)[j_a, jbar_b]``.
     """
     mode = _as_mode(mu)
     _check_beta(beta)
@@ -363,17 +361,18 @@ def wick_check(mu, beta, n, times, indices):
         factors.append((minus_t[i], "-", minus_j[i]))
         factors.append((plus_t[i], "+", plus_j[i]))
     lhs = time_ordered_average(mode, beta, factors)
-    pair = {}
-    for ti in set(minus_t):
-        for tj in set(plus_t):
-            pair[(ti, tj)] = thermal_two_point(mode, beta, ti, tj)
-    rhs = 0.0
-    for tau in itertools.permutations(range(n)):
-        term = complex(_permutation_sign(tau))
-        for i in range(n):
-            term *= pair[(minus_t[i], plus_t[tau[i]])][minus_j[i],
-                                                       plus_j[tau[i]]]
-        rhs += term
+    # species "i" (minus) sorts just before "i+" (plus), so the
+    # universe's bit order is the word psi-_1 psi+_1 ... psi-_n psi+_n
+    # itself, and the word is the full mask with coefficient 1
+    minus = [GeneratorId("int", 0, f"{i}", "up", "-") for i in range(n)]
+    plus = [GeneratorId("int", 0, f"{i}+", "up", "+") for i in range(n)]
+    universe = Universe(minus + plus)
+    entries = {(minus[a], plus[b]): complex(thermal_two_point(
+        mode, beta, minus_t[a], plus_t[b])[minus_j[a], plus_j[b]])
+        for a in range(n) for b in range(n)}
+    word = GrassmannPolynomial({(1 << 2 * n) - 1: 1})
+    rhs = complex(integrate_polynomial(
+        universe, PropagatorTable(universe, entries), word).constant_term())
     return lhs, rhs
 
 
@@ -394,18 +393,10 @@ def verify_lemmas(seed=20260817):
     rng = np.random.default_rng(seed)
     records = []
 
-    def record(name, tolerance, error):
-        records.append({
-            "lemma": name,
-            "tolerance": tolerance,
-            "max_error": float(error),
-            "passed": bool(error <= tolerance),
-        })
-
     # canonical anticommutation relations of the constructed operators
     err = max(_car_error(FockOperatorSet(np.eye(n)))
               for n in range(1, MAX_MODES + 1))
-    record("anticommutation", CAR_TOL, err)
+    records.append(lemma_record("anticommutation", CAR_TOL, err))
 
     # dense traces against the eigenbasis closed form
     err = 0.0
@@ -420,7 +411,7 @@ def verify_lemmas(seed=20260817):
             delta = thermal_two_point(mode, beta, 0.3 * beta, 0.3 * beta) \
                 - closed_form_two_point(mode, beta, 0.3 * beta, 0.3 * beta)
             err = max(err, float(np.max(np.abs(delta))))
-    record("two_point_closed_form", 1e-10, err)
+    records.append(lemma_record("two_point_closed_form", 1e-10, err))
 
     # truncated frequency sums against the dense two-point values
     err = 0.0
@@ -433,14 +424,14 @@ def verify_lemmas(seed=20260817):
                 delta = matsubara_two_point(mode, beta, tau, 10 ** 4) \
                     - thermal_two_point(mode, beta, t, tbar)
                 err = max(err, float(np.max(np.abs(delta))))
-    record("matsubara_representation", 1e-6, err)
+    records.append(lemma_record("matsubara_representation", 1e-6, err))
 
     # equal times, flat dispersion: exactly one half
     flat = thermal_two_point(np.zeros((1, 1)), 2.0, 0.7, 0.7)[0, 0]
     err = abs(flat - 0.5)
     summed = matsubara_two_point(np.zeros((1, 1)), 2.0, 0.0, 100)[0, 0]
     err = max(err, abs(summed - 0.5))
-    record("equal_time_half", 1e-12, err)
+    records.append(lemma_record("equal_time_half", 1e-12, err))
 
     # jump of size one across tau = 0: exactly at equal times on the
     # dense operators, <a_i a_j^+> + <a_j^+ a_i> = delta_ij; at
@@ -463,7 +454,7 @@ def verify_lemmas(seed=20260817):
             dense = thermal_two_point(mode, beta, 1e-3, 0.0) \
                 - thermal_two_point(mode, beta, 0.0, 1e-3)
             err = max(err, float(np.max(np.abs(jump - dense))))
-    record("discontinuity", 1e-4, err)
+    records.append(lemma_record("discontinuity", 1e-4, err))
 
     # quadrature Fourier coefficients against the resolvent
     err = 0.0
@@ -476,7 +467,7 @@ def verify_lemmas(seed=20260817):
                 target = (u * (1.0 / (-1j * k0 + lam))) @ u.conj().T
                 delta = fourier_two_point(mode, beta, k_index) - target
                 err = max(err, float(np.max(np.abs(delta))))
-    record("fourier_inversion", 1e-4, err)
+    records.append(lemma_record("fourier_inversion", 1e-4, err))
 
     # determinant reduction of 2n-point averages
     err = 0.0
@@ -493,6 +484,6 @@ def verify_lemmas(seed=20260817):
     lhs, rhs = wick_check(np.array([[0.3]]), 2.0, 2,
                           (0.5, 1.1, 0.8, 0.8), (0, 0, 0, 0))
     err = max(err, abs(lhs), abs(rhs))
-    record("wick_rule", 1e-8, err)
+    records.append(lemma_record("wick_rule", 1e-8, err))
 
     return records

@@ -28,6 +28,10 @@ zero-dropping term accumulator ``add_terms`` and the sorting sign
 conventions.  The pairing route solves no linear system; the oracle
 inverts the covariance with ``row_reduce``, the exact elimination that
 projection onto a basis also uses.
+
+``integrate_polynomial`` is also checked against Fock space, by the
+``wick_rule`` lemma of ``hfrg.fock``.  ``lemma_record`` builds the
+pass/fail record that every verify battery returns.
 """
 
 from __future__ import annotations
@@ -256,6 +260,14 @@ def berezin_reference_integral(universe, table, poly):
 # ------------------------------------------------------------- verification
 
 
+def lemma_record(name, tolerance, error):
+    """One pass/fail record of a verify battery: the fact's name, the
+    tolerance it is held to, the largest error observed, and whether
+    that error is within the tolerance."""
+    return {"lemma": name, "tolerance": tolerance,
+            "max_error": float(error), "passed": bool(error <= tolerance)}
+
+
 def _battery_pair(k, conj, child=0):
     return GeneratorId("int", child, f"s{k}", "up", conj)
 
@@ -293,14 +305,6 @@ def verify_identities(seed=20260817):
     rng = random.Random(seed)
     records = []
 
-    def record(name, failures):
-        records.append({
-            "lemma": name,
-            "tolerance": 0.0,
-            "max_error": float(failures),
-            "passed": failures == 0,
-        })
-
     one = GrassmannPolynomial.scalar(Fraction(1))
 
     # the density is normalized: integrating 1 gives 1
@@ -312,7 +316,7 @@ def verify_identities(seed=20260817):
             for route in (integrate_polynomial, berezin_reference_integral):
                 if route(u, t, one) != one:
                     failures += 1
-    record("normalized_unit", failures)
+    records.append(lemma_record("normalized_unit", 0.0, failures))
 
     # a minus-plus pair integrates to its table entry
     failures = 0
@@ -329,7 +333,7 @@ def verify_identities(seed=20260817):
                     got = route(u, t, f)
                     if got != expected:
                         failures += 1
-    record("two_point_table", failures)
+    records.append(lemma_record("two_point_table", 0.0, failures))
 
     # pairing recursion and density expansion agree on every monomial
     failures = 0
@@ -342,7 +346,7 @@ def verify_identities(seed=20260817):
                 if integrate_polynomial(u, t, f) != \
                         berezin_reference_integral(u, t, f):
                     failures += 1
-    record("pairing_vs_density", failures)
+    records.append(lemma_record("pairing_vs_density", 0.0, failures))
 
     # convolution: a sum of covariances equals an iterated integral
     failures = 0
@@ -375,6 +379,6 @@ def verify_identities(seed=20260817):
         rhs = integrate_polynomial(u2, t_both, doubled)
         if lhs != rhs:
             failures += 1
-    record("gaussian_addition", failures)
+    records.append(lemma_record("gaussian_addition", 0.0, failures))
 
     return records

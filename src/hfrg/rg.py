@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .couplings import CouplingPolynomial, power_name, power_table
 from .grassmann import GrassmannPolynomial, SingularNormalization, exp_truncated
-from .integration import integrate_polynomial
+from .integration import integrate_polynomial, lemma_record
 from .models import project_onto_basis
 from .scalars import ImpurityElement
 
@@ -387,10 +387,5 @@ def verify_shipped_maps(builders):
     for model, build in builders.items():
         derived = (rg_step(build()).to_json() + "\n").encode()
         same = derived == _shipped_path(model).read_bytes()
-        records.append({
-            "lemma": f"betamap_{model}",
-            "tolerance": 0.0,
-            "max_error": float(not same),
-            "passed": same,
-        })
+        records.append(lemma_record(f"betamap_{model}", 0.0, not same))
     return records

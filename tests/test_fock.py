@@ -166,6 +166,30 @@ def test_repeated_creator_at_one_time_kills_both_sides():
     assert abs(rhs) < 1e-14
 
 
+def test_engine_integral_of_the_word_is_the_two_point_determinant():
+    # Wick's rule held outside the engine: the pairing recursion's
+    # value of psi-_1 psi+_1 ... psi-_n psi+_n against LAPACK's
+    # determinant of the dense two-point matrix
+    rng = np.random.default_rng(50)
+    beta = 2.0
+    for n_pairs in (1, 2, 3):
+        for modes in (1, 2, 3, 4):
+            mode = random_mode(rng, modes)
+            for _ in range(5):
+                times = tuple(rng.uniform(0, beta, size=2 * n_pairs))
+                indices = tuple(rng.integers(0, modes, size=2 * n_pairs))
+                g = [[thermal_two_point(mode, beta, times[a],
+                                        times[n_pairs + b])[
+                    indices[a], indices[n_pairs + b]]
+                    for b in range(n_pairs)] for a in range(n_pairs)]
+                rhs = wick_check(mode, beta, n_pairs, times, indices)[1]
+                assert abs(rhs - np.linalg.det(np.array(g))) < 1e-12
+    # two creators of one mode at one time make two equal columns,
+    # whose terms cancel bit for bit in the pairing recursion
+    rhs = wick_check([[0.3]], 2.0, 2, (0.5, 1.1, 0.8, 0.8), (0, 0, 0, 0))[1]
+    assert rhs == 0j
+
+
 def test_swapping_two_written_factors_flips_the_sign():
     rng = np.random.default_rng(40)
     mode = random_mode(rng, 2)

@@ -110,6 +110,36 @@ def test_kondo_double_occupancy_value():
     assert (total * total).terms == {mask: -6}
 
 
+@pytest.mark.parametrize("unipotent", [((1, Fraction(3, 7)), (0, 1)),
+                                       ((1, 0), (Fraction(3, 7), 1))])
+def test_kondo_basis_is_su2_invariant_as_built(unipotent):
+    # SU(2) turns the field and the impurity spin together: psi+_s ->
+    # sum_r U[r][s] psi+_r, psi-_s -> sum_r inv(U)[s][r] psi-_r, and
+    # every coefficient c -> U c inv(U); the two unipotents generate
+    # SL(2) over the rationals
+    (a, b), (c, d) = unipotent
+    inverse = ((d, -b), (-c, a))
+    u = KONDO.universe
+    images = {}
+    for s, spin in enumerate(SPINS):
+        images[u.bit_of[_ext(spin, "+")]] = sum(
+            (u.generator(_ext(r, "+")).scale(Fraction(unipotent[i][s]))
+             for i, r in enumerate(SPINS)), GrassmannPolynomial())
+        images[u.bit_of[_ext(spin, "-")]] = sum(
+            (u.generator(_ext(r, "-")).scale(Fraction(inverse[s][i]))
+             for i, r in enumerate(SPINS)), GrassmannPolynomial())
+    g = ImpurityElement(a, b, c, d)
+    g_inv = ImpurityElement(d, -b, -c, a)
+    for label, poly in KONDO.basis.entries:
+        moved = poly.substitute(images)
+        turned = GrassmannPolynomial(
+            {m: g * coeff * g_inv for m, coeff in moved.terms.items()})
+        assert turned == poly, label
+        if label == "exchange":
+            # the field alone is not enough: the impurity must turn too
+            assert moved != poly
+
+
 def test_graphene_propagator_cross_sublattice_only():
     species = {}
     for g in GRAPHENE.universe.gens:
