@@ -3,15 +3,16 @@
 The exact one-scale map is iterated, searched for fixed points, and
 linearized in floats here.  All symbolic work stays inside the map
 itself (exact numerators, denominator, and their derivatives), so this
-layer only deals in ordinary dense vectors and matrices.  Only the
-linear algebra and the grid use NumPy, and they import it when called,
-so iterating a flow never loads it.
+layer only deals in ordinary dense vectors and matrices.  A flow's
+steps run in the map's generated ``flow_loop``; this module checks the
+start and keeps the tolerances the loop is given.  Only the linear
+algebra and the grid use NumPy, and they import it when called, so
+iterating a flow never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,32 +88,15 @@ def iterate_flow(beta, start, max_steps):
     non-finite value also terminates as diverged rather than raising.
 
     The start's length is checked once, as ``beta.evaluate`` checks it;
-    each step then calls ``beta.float_kernel``, the function
-    ``evaluate`` runs at a float point, so the orbit has the same bits.
+    the steps then run in ``beta.flow_loop``, one generated loop that
+    computes each step as ``evaluate`` does at a float point, so the
+    orbit has the same bits.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    cur = tuple(beta.as_point([float(x) for x in start]))
-    step = beta.float_kernel
-    points = [(0, cur)]
-    termination = "max steps"
-    for index in range(-1, -max_steps - 1, -1):
-        try:
-            nxt = tuple(step(cur))
-        except _NUMERIC_ERRORS:
-            termination = "diverged"
-            break
-        if not all(map(math.isfinite, nxt)):
-            termination = "diverged"
-            break
-        points.append((index, nxt))
-        if max(map(abs, nxt)) > DIVERGE_CUTOFF:
-            termination = "diverged"
-            break
-        if max(map(abs, map(operator.sub, nxt, cur))) < CONVERGE_TOL:
-            termination = "converged"
-            break
-        cur = nxt
+    start = beta.as_point([float(x) for x in start])
+    points, termination = beta.flow_loop(
+        start, max_steps, CONVERGE_TOL, DIVERGE_CUTOFF, _NUMERIC_ERRORS)
     return Trajectory(tuple(points), termination)
 
 

@@ -231,19 +231,27 @@ def thermal_two_point(mu, beta, t, tbar):
     _check_beta(beta)
     if not (0 <= t < beta and 0 <= tbar < beta):
         raise ValueError("times must lie in [0, beta)")
+    n = mode.n
+    entries = _two_point_entries(mode, beta, t, tbar,
+                                 [(i, j) for i in range(n) for j in range(n)])
+    return np.array(entries, dtype=complex).reshape(n, n)
+
+
+def _two_point_entries(mode, beta, t, tbar, pairs):
+    """Entries [i, j] of ``thermal_two_point`` for the (i, j) of
+    ``pairs``, one trace each over the decays of the ordered time pair;
+    the times must already lie in [0, beta)."""
     ops = mode.operators
     state = mode.thermal_state(beta)
-    decays = state.chain_decays([t, tbar] if t >= tbar else [tbar, t], beta)
-    out = np.empty((mode.n, mode.n), dtype=complex)
-    for i in range(mode.n):
-        for j in range(mode.n):
-            if t >= tbar:
-                out[i, j] = _chain_trace(
-                    state, decays, [ops.annihilators[i], ops.creators[j]])
-            else:
-                out[i, j] = -_chain_trace(
-                    state, decays, [ops.creators[j], ops.annihilators[i]])
-    return out
+    if t >= tbar:
+        decays = state.chain_decays([t, tbar], beta)
+        return [_chain_trace(state, decays,
+                             [ops.annihilators[i], ops.creators[j]])
+                for i, j in pairs]
+    decays = state.chain_decays([tbar, t], beta)
+    return [-_chain_trace(state, decays,
+                          [ops.creators[j], ops.annihilators[i]])
+            for i, j in pairs]
 
 
 def closed_form_two_point(mu, beta, t, tbar):
@@ -367,8 +375,8 @@ def wick_check(mu, beta, n, times, indices):
     minus = [GeneratorId("int", 0, f"{i}", "up", "-") for i in range(n)]
     plus = [GeneratorId("int", 0, f"{i}+", "up", "+") for i in range(n)]
     universe = Universe(minus + plus)
-    entries = {(minus[a], plus[b]): complex(thermal_two_point(
-        mode, beta, minus_t[a], plus_t[b])[minus_j[a], plus_j[b]])
+    entries = {(minus[a], plus[b]): _two_point_entries(
+        mode, beta, minus_t[a], plus_t[b], [(minus_j[a], plus_j[b])])[0]
         for a in range(n) for b in range(n)}
     word = GrassmannPolynomial({(1 << 2 * n) - 1: 1})
     rhs = complex(integrate_polynomial(

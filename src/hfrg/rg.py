@@ -16,7 +16,10 @@ point, ``evaluate`` and ``jacobian`` run straight-line code generated on
 first use: one compiled function per polynomial and one per method that
 builds the powers and divides.  It repeats the per-term loop's float
 operations in the same order, so its values are bit-identical to that
-loop's.  Exact values and the grid's float64 columns run the loop.
+loop's.  ``flow_loop`` generates a flow's whole orbit the same way:
+one function per map whose loop runs those lines step after step and
+tests each step's exits with chained comparisons.  Exact values and the
+grid's float64 columns run the loop.
 
 The step's output never changes, so the package ships each model's map
 as the JSON text ``rg_step`` writes (``data/betamap_<model>.json``).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +137,49 @@ class BetaMap:
                          for j, dn in enumerate(row)) + "]"]
         body.append("return [" + ", ".join(f"r{i}" for i in range(n)) + "]")
         return _link(self._max_exps, namespace, den, body)
+
+    @functools.cached_property
+    def flow_loop(self):
+        """The orbit loop of ``flows.iterate_flow``, as one generated
+        function ``flow_loop(values, max_steps, tol, cutoff, errors)``
+        that returns ``(points, termination)``.
+
+        The couplings stay in the locals ``v{i}``.  Each step runs the
+        prologue of ``float_kernel`` and its quotients into ``w{i}``,
+        so the orbit has ``evaluate``'s bits.  A step that raises one
+        of ``errors`` or gives a non-finite value ends the orbit as
+        "diverged" before it is appended; one past ``cutoff`` in the
+        max norm does so after.  A step that moves every coupling by
+        less than ``tol`` ends it as "converged".  From a finite start
+        every compared value is finite, so the chained comparisons
+        equal those max-norm tests."""
+        n, namespace = self.n, {"isfinite": math.isfinite}
+        den, *nums = _calls(self._value_kernels, "k", namespace)
+        vs, ws = (" ".join(f"{c}{i}," for i in range(n)) for c in "vw")
+        step = [*_prologue(self._max_exps, den),
+                *(f"w{i} = {num} / d ** {p}" for i, (num, p) in
+                  enumerate(zip(nums, self.denominator_powers))),
+                "if not (" + " and ".join(
+                    f"lo <= w{i} <= cutoff" for i in range(n)) + "):",
+                "    if " + " and ".join(
+                    f"isfinite(w{i})" for i in range(n)) + ":",
+                f"        points.append((index, ({ws})))",
+                "    return points, 'diverged'",
+                f"points.append((index, ({ws})))",
+                "if " + " and ".join(
+                    f"-tol < w{i} - v{i} < tol" for i in range(n)) + ":",
+                "    return points, 'converged'",
+                f"{vs} = {ws}"]
+        lines = [f"points = [(0, ({vs}))]",
+                 "lo = -cutoff",
+                 "try:",
+                 "    for index in range(-1, -max_steps - 1, -1):",
+                 *(f"        {line}" for line in step),
+                 "except errors:",
+                 "    return points, 'diverged'",
+                 "return points, 'max steps'"]
+        return _compile(n, "values, max_steps, tol, cutoff, errors", lines,
+                        namespace)
 
     def as_point(self, values):
         """``values`` as a list, raising ValueError unless it holds one
@@ -241,24 +288,36 @@ def _calls(kernels, prefix, namespace):
     return calls
 
 
-def _link(tops, namespace, den, body):
-    """Compile ``kernel(values)`` over the polynomial kernels bound in
-    ``namespace``: unpack ``values`` into the power locals ``x{i}_{k}``
-    by ``power_table``'s repeated products, set ``d`` by the call
-    ``den`` and raise if it vanishes, then run the lines of ``body``."""
-    lines = [f"{''.join(f'v{i}, ' for i in range(len(tops)))}= values"]
+def _prologue(tops, den):
+    """Lines that set the power locals ``x{i}_{k}`` from the coupling
+    locals ``v{i}`` by ``power_table``'s repeated products, then ``d``
+    by the call ``den``, raising if it vanishes."""
+    lines = []
     for i, top in enumerate(tops):
         lines.append(f"{power_name(i, 1)} = float(v{i})")
         lines += [f"{power_name(i, k)} = {power_name(i, k - 1)} * "
                   f"{power_name(i, 1)}" for k in range(2, top + 1)]
-    lines += [f"d = {den}", "if not d:", "    raise _singular(values)",
-              *body]
-    source = "def kernel(values):\n" + "".join(f"    {line}\n"
-                                               for line in lines)
+    return lines + [f"d = {den}", "if not d:", "    raise _singular(values)"]
+
+
+def _compile(n, params, lines, namespace):
+    """Compile ``def kernel(params)`` over the polynomial kernels bound
+    in ``namespace``: unpack ``values`` into the coupling locals ``v0``
+    .. ``v{n-1}``, then run ``lines``."""
+    lines = [f"{''.join(f'v{i}, ' for i in range(n))}= values", *lines]
+    source = f"def kernel({params}):\n" + "".join(f"    {line}\n"
+                                                 for line in lines)
     namespace["_singular"] = _singular
     exec(compile(source, "<hfrg map kernel>", "exec"), namespace)
     # popped, so that no cycle through its globals keeps it alive
     return namespace.pop("kernel")
+
+
+def _link(tops, namespace, den, body):
+    """Compile ``kernel(values)``: the ``_prologue``, then the lines of
+    ``body``."""
+    return _compile(len(tops), "values", [*_prologue(tops, den), *body],
+                    namespace)
 
 
 # ---------------------------------------------------------------- the step

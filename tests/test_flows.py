@@ -24,14 +24,16 @@ KONDO_L0_STAR = -0.7807256660704317
 KONDO_L1_STAR = 0.05292875274036917
 
 
-def toy_map(numerator_terms):
-    """One-coupling map with denominator 1, for solver edge cases."""
-    num = CouplingPolynomial(1, {(k,): Fraction(c)
-                                 for k, c in numerator_terms.items()})
-    one = CouplingPolynomial.constant(1, Fraction(1))
-    return BetaMap(model="toy", coupling_names=("x",), numerators=(num,),
-                   denominator=one, denominator_powers=(1,),
-                   constant_multiplier=1)
+def toy_map(numerator_terms, denominator_terms=None):
+    """One-coupling map x -> N(x) / D(x), with D = 1 unless
+    ``denominator_terms`` is given, for solver and flow edge cases."""
+    def poly(terms):
+        return CouplingPolynomial(1, {(k,): Fraction(c)
+                                      for k, c in terms.items()})
+    return BetaMap(model="toy", coupling_names=("x",),
+                   numerators=(poly(numerator_terms),),
+                   denominator=poly(denominator_terms or {0: 1}),
+                   denominator_powers=(1,), constant_multiplier=1)
 
 
 # -- trajectories --------------------------------------------------------
@@ -130,9 +132,16 @@ def flow_cases(draw):
 @given(flow_cases())
 @settings(max_examples=80, deadline=None)
 @example(("kondo", [-0.3, 0.01], 200))            # converges
-@example(("kondo", [5.0, 5.0], 50))               # diverges past the cutoff
-@example(("graphene", [3.0] + [2.0] * 6, 50))     # diverges
+@example(("kondo", [5.0, 5.0], 50))               # runs all 50 steps
+@example(("graphene", [3.0] + [2.0] * 6, 50))     # converges after 46 steps
 @example(("graphene", [-1.0] + [0.0] * 6, 10))    # singular normalization
+# step 2 lands past the cutoff, at l6 = -2.69e7
+@example(("graphene", [-0.09441208175938386, -0.13313271970656132,
+                       0.05544968066356634, -0.0040570236451336105,
+                       0.000451751515306112, -0.05197014773219528,
+                       -0.16188412070360023], 20))
+# step 1 gives l0 = -0.0: (-5e-324 * 4) / 10 rounds to zero
+@example(("kondo", [-5e-324, 1.0], 3))
 def test_iterate_flow_is_bit_identical_to_evaluate_steps(case):
     model, start, max_steps = case
     beta = MAPS[model]
@@ -143,15 +152,41 @@ def test_iterate_flow_is_bit_identical_to_evaluate_steps(case):
     assert traj.termination == termination
 
 
+# Every exit of the generated loop on a one-coupling map, whose points
+# are 1-tuples.  From a point inside the cutoff the shipped maps give
+# finite values and no vanishing normalization was found after a step,
+# so those exits are reached here.
+@pytest.mark.parametrize("terms, start, max_steps, termination, n_steps", [
+    (({1: Fraction(1, 2)},), (1.0,), 3, "max steps", 3),
+    (({1: Fraction(1, 2)},), (1.0,), 100, "converged", 47),
+    (({1: 10},), (1.0,), 10, "diverged", 7),            # past the cutoff
+    # 1e5 on step 1, then 1e301 * 1e10 overflows to inf
+    (({2: 10 ** 301},), (1e-148,), 10, "diverged", 1),
+    # x -> -1 / (1 + x): -1.0 on step 1, then the normalization is 0
+    (({0: -1}, {0: 1, 1: 1}), (0.0,), 10, "diverged", 1),
+    # the start's -0.0 is kept, and x / 2 of it is 0.0
+    (({1: Fraction(1, 2)},), (-0.0,), 10, "converged", 1),
+], ids=["max-steps", "converged", "cutoff", "non-finite", "singular",
+        "negative-zero"])
+def test_one_coupling_flow_exits_match_evaluate_steps(
+        terms, start, max_steps, termination, n_steps):
+    beta = toy_map(*terms)
+    traj = iterate_flow(beta, start, max_steps)
+    points, expected = reference_flow(beta, start, max_steps)
+    assert repr(traj.points) == repr(tuple(points))
+    assert (traj.termination, traj.n_steps) == (expected, len(points) - 1)
+    assert (traj.termination, traj.n_steps) == (termination, n_steps)
+
+
 @pytest.mark.parametrize("beta", [G_BETA, K_BETA], ids=["graphene", "kondo"])
 def test_wrong_length_start_raises_before_any_step(beta, monkeypatch):
     start = [0.1] * (beta.n + 1)
     with pytest.raises(ValueError) as expected:
         beta.evaluate(start)
 
-    def no_step(values):
+    def no_step(*args):
         raise AssertionError("stepped from a wrong-length start")
-    monkeypatch.setitem(vars(beta), "float_kernel", no_step)
+    monkeypatch.setitem(vars(beta), "flow_loop", no_step)
     with pytest.raises(ValueError) as raised:
         iterate_flow(beta, start, 5)
     assert str(raised.value) == str(expected.value)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfrg.couplings import CouplingPolynomial, power_table
+from hfrg.flows import iterate_flow
 from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
                             SingularNormalization, bits_of)
 from hfrg.integration import PropagatorTable, integrate_polynomial
@@ -289,6 +290,22 @@ def test_building_both_maps_kernels_stays_small():
         for beta in fresh:
             beta.evaluate([0.1] * beta.n)
             beta.jacobian([0.1] * beta.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_building_both_maps_kernels_and_flow_loops_stays_small():
+    # the flow loop calls the polynomial kernels: a loop that inlined
+    # their sums peaked near 3.75 MB under this bound
+    fresh = [BetaMap.from_json(beta.to_json()) for beta in (G_BETA, K_BETA)]
+    tracemalloc.start()
+    try:
+        for beta in fresh:
+            beta.evaluate([0.1] * beta.n)
+            beta.jacobian([0.1] * beta.n)
+            iterate_flow(beta, [0.1] * beta.n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
