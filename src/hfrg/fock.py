@@ -10,9 +10,9 @@ layer's Gaussian integral (``integrate_polynomial``) to them.
 
 The fixtures are built once per object they depend on.  A
 ``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
-its ``FockOperatorSet``, its eigenbasis, its ``_ThermalState`` per
-beta, its Matsubara kernel per (beta, cutoff) and its Fourier weights
-per beta; one call computes each decay e^{-s H} of its trace once.  A
+its Fock annihilators, creators and Hamiltonian, that Hamiltonian's
+spectrum (one ``eigh`` for every beta), its eigenbasis, its Matsubara
+kernel per (beta, cutoff) and its Fourier weights per beta.  A
 function given a raw array builds a fresh ``ModeMatrix`` and keeps
 nothing, so a caller that reuses one mode matrix passes the
 ``ModeMatrix`` itself.
@@ -58,7 +58,6 @@ class ModeMatrix:
         m.flags.writeable = False
         self.mu = m
         self.n = n
-        self._states = {}
         self._kernels = {}
         self._fourier = {}
 
@@ -66,21 +65,62 @@ class ModeMatrix:
         return f"ModeMatrix({self.mu.tolist()!r})"
 
     @cached_property
-    def operators(self):
-        """The ``FockOperatorSet`` of this mode matrix."""
-        return FockOperatorSet(self)
+    def annihilators(self):
+        """The Fock matrices of a_1 .. a_n, built with the usual
+        sign-string tensor factors so that the anticommutation
+        relations hold exactly; ``ValueError`` if they do not."""
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        flip = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        eye2 = np.eye(2, dtype=complex)
+        ops = []
+        for i in range(self.n):
+            op = np.eye(1, dtype=complex)
+            for j in range(self.n):
+                op = np.kron(op, flip if j < i else lower if j == i else eye2)
+            ops.append(op)
+        if _car_error(ops) > CAR_TOL:
+            raise ValueError("the operators break the canonical "
+                             "anticommutation relations")
+        return _frozen(*ops)
+
+    @cached_property
+    def creators(self):
+        """The Fock matrices of adag_1 .. adag_n."""
+        return _frozen(*(a.conj().T for a in self.annihilators))
+
+    @cached_property
+    def hamiltonian(self):
+        """The Fock matrix of sum(mu[i, j] * adag_i * a_j)."""
+        h = np.zeros((1 << self.n,) * 2, dtype=complex)
+        for i, c in enumerate(self.creators):
+            for j, a in enumerate(self.annihilators):
+                h += self.mu[i, j] * (c @ a)
+        return _frozen(h)[0]
+
+    @cached_property
+    def spectrum(self):
+        """(levels, eigenvectors) of the Fock Hamiltonian, the levels
+        shifted to start at 0; the shift cancels in a trace over Z."""
+        evals, evecs = np.linalg.eigh(self.hamiltonian)
+        return _frozen(evals - evals.min(), evecs)
 
     @cached_property
     def eigenbasis(self):
         """(eigenvalues, eigenvectors) of ``mu``."""
         return _frozen(*np.linalg.eigh(self.mu))
 
-    def thermal_state(self, beta):
-        """The ``_ThermalState`` of the Fock Hamiltonian at ``beta``."""
-        state = self._states.get(beta)
-        if state is None:
-            state = self._states[beta] = _ThermalState(self.operators, beta)
-        return state
+    def chain_decays(self, times, beta):
+        """(decays, Z): the decays e^{-(beta - t1) H}, ..., e^{-tn H}
+        between weakly decreasing times t1 >= ... >= tn in [0, beta),
+        or [e^{-beta H}] for no times, equal gaps sharing one matrix,
+        and the partition function Z of the shifted levels."""
+        levels, vecs = self.spectrum
+        gaps = [a - b for a, b in zip([beta, *times], [*times, 0.0])]
+        made = {}
+        for s in gaps:
+            if s not in made:
+                made[s] = (vecs * np.exp(-s * levels)) @ vecs.conj().T
+        return [made[s] for s in gaps], float(np.sum(np.exp(-beta * levels)))
 
     def matsubara_kernel(self, beta, cutoff):
         """(k0, 1/(-i k0 + lam) + 1/(i k0)) on the 2 * cutoff
@@ -128,95 +168,37 @@ def _as_mode(mu):
     return mu if isinstance(mu, ModeMatrix) else ModeMatrix(mu)
 
 
-def _check_beta(beta):
+def _check_beta(beta, *times):
+    """Raise unless 0 < beta <= MAX_BETA and each time is in [0, beta)."""
     if not 0 < beta <= MAX_BETA:
         raise ValueError(f"beta must be in (0, {MAX_BETA}]")
+    if not all(0 <= t < beta for t in times):
+        raise ValueError("times must lie in [0, beta)")
 
 
-class FockOperatorSet:
-    """Explicit matrices for each annihilator, creator, and the
-    quadratic Hamiltonian, built with the usual sign-string tensor
-    factors so the anticommutation relations hold exactly."""
-
-    def __init__(self, mu):
-        mode = _as_mode(mu)
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        flip = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        eye2 = np.eye(2, dtype=complex)
-        self.n = mode.n
-        self.annihilators = []
-        for i in range(mode.n):
-            op = np.eye(1, dtype=complex)
-            for j in range(mode.n):
-                factor = flip if j < i else lower if j == i else eye2
-                op = np.kron(op, factor)
-            self.annihilators.append(op)
-        self.creators = [a.conj().T for a in self.annihilators]
-        dim = 1 << mode.n
-        h = np.zeros((dim, dim), dtype=complex)
-        for i in range(mode.n):
-            for j in range(mode.n):
-                h += mode.mu[i, j] * (self.creators[i] @
-                                      self.annihilators[j])
-        self.hamiltonian = h
-        if _car_error(self) > CAR_TOL:
-            raise ValueError("the operators break the canonical "
-                             "anticommutation relations")
-        _frozen(*self.annihilators, *self.creators, h)
-
-
-def _car_error(ops):
+def _car_error(annihilators):
     """Largest |entry| of any {a_i, a_j} or {a_i, adag_j} - delta_ij."""
-    eye = np.eye(1 << ops.n, dtype=complex)
+    creators = [a.conj().T for a in annihilators]
+    eye = np.eye(len(annihilators[0]), dtype=complex)
     err = 0.0
-    for i, ai in enumerate(ops.annihilators):
-        for j, aj in enumerate(ops.annihilators):
+    for i, ai in enumerate(annihilators):
+        for j, aj in enumerate(annihilators):
             same = ai @ aj + aj @ ai
-            mixed = ai @ ops.creators[j] + ops.creators[j] @ ai
+            mixed = ai @ creators[j] + creators[j] @ ai
             target = eye if i == j else 0.0
             err = max(err, float(np.max(np.abs(same))),
                       float(np.max(np.abs(mixed - target))))
     return err
 
 
-class _ThermalState:
-    """Eigendecomposition of the Fock Hamiltonian, shifted so that all
-    Boltzmann factors stay below 1 (the shift cancels between the
-    weighted traces and the partition function)."""
-
-    def __init__(self, ops, beta):
-        evals, evecs = np.linalg.eigh(ops.hamiltonian)
-        self.evals = evals - evals.min()
-        self.evecs = evecs
-        self.z = float(np.sum(np.exp(-beta * self.evals)))
-
-    def decay(self, s):
-        """e**(-s * H_shifted) for s >= 0."""
-        w = np.exp(-s * self.evals)
-        return (self.evecs * w) @ self.evecs.conj().T
-
-    def chain_decays(self, times, beta):
-        """The decays e^{-(beta - t1) H}, e^{-(t1 - t2) H}, ...,
-        e^{-tn H} between weakly decreasing times t1 >= ... >= tn in
-        [0, beta); equal gaps share one matrix."""
-        gaps = [beta - times[0]]
-        for k, t in enumerate(times):
-            gaps.append(t - (times[k + 1] if k + 1 < len(times) else 0.0))
-        made = {}
-        for s in gaps:
-            if s not in made:
-                made[s] = self.decay(s)
-        return [made[s] for s in gaps]
-
-
-def _chain_trace(state, decays, operators):
+def _chain_trace(chain, operators):
     """Tr(e^{-(beta - t1) H} O1 e^{-(t1 - t2) H} O2 ... On e^{-tn H})/Z
-    with the decays from ``_ThermalState.chain_decays``."""
+    for the ``(decays, Z)`` of ``ModeMatrix.chain_decays``."""
+    decays, z = chain
     acc = decays[0]
     for op, decay in zip(operators, decays[1:]):
-        acc = acc @ op
-        acc = acc @ decay
-    return complex(np.trace(acc)) / state.z
+        acc = acc @ op @ decay
+    return complex(np.trace(acc)) / z
 
 
 def thermal_two_point(mu, beta, t, tbar):
@@ -228,9 +210,7 @@ def thermal_two_point(mu, beta, t, tbar):
     equal times the ordering puts the annihilator on the left.
     """
     mode = _as_mode(mu)
-    _check_beta(beta)
-    if not (0 <= t < beta and 0 <= tbar < beta):
-        raise ValueError("times must lie in [0, beta)")
+    _check_beta(beta, t, tbar)
     n = mode.n
     entries = _two_point_entries(mode, beta, t, tbar,
                                  [(i, j) for i in range(n) for j in range(n)])
@@ -241,25 +221,21 @@ def _two_point_entries(mode, beta, t, tbar, pairs):
     """Entries [i, j] of ``thermal_two_point`` for the (i, j) of
     ``pairs``, one trace each over the decays of the ordered time pair;
     the times must already lie in [0, beta)."""
-    ops = mode.operators
-    state = mode.thermal_state(beta)
+    a, c = mode.annihilators, mode.creators
     if t >= tbar:
-        decays = state.chain_decays([t, tbar], beta)
-        return [_chain_trace(state, decays,
-                             [ops.annihilators[i], ops.creators[j]])
-                for i, j in pairs]
-    decays = state.chain_decays([tbar, t], beta)
-    return [-_chain_trace(state, decays,
-                          [ops.creators[j], ops.annihilators[i]])
-            for i, j in pairs]
+        chain = mode.chain_decays([t, tbar], beta)
+        return [_chain_trace(chain, [a[i], c[j]]) for i, j in pairs]
+    chain = mode.chain_decays([tbar, t], beta)
+    return [-_chain_trace(chain, [c[j], a[i]]) for i, j in pairs]
 
 
 def closed_form_two_point(mu, beta, t, tbar):
     """The same two-point function through the mode eigenbasis: weight
     e^{-tau lam}/(1 + e^{-beta lam}) for tau >= 0 and its negated,
-    beta-shifted continuation for tau < 0."""
+    beta-shifted continuation for tau < 0; the times must lie in
+    [0, beta), as for ``thermal_two_point``."""
     mode = _as_mode(mu)
-    _check_beta(beta)
+    _check_beta(beta, t, tbar)
     lam, u = mode.eigenbasis
     tau = t - tbar
     log_occ = -np.logaddexp(0.0, -beta * lam)
@@ -298,9 +274,12 @@ def fourier_two_point(mu, beta, k_index):
     """Quadrature Fourier coefficient (1/2) int_{-beta}^{beta}
     e^{i k0 tau} s(tau) dtau of the closed-form two-point function at
     the half-integer frequency indexed by ``k_index``; the midpoint
-    rule is applied separately on each side of the tau = 0 jump."""
+    rule is applied separately on each side of the tau = 0 jump.
+    ``k_index`` must be an integer."""
     mode = _as_mode(mu)
     _check_beta(beta)
+    if not isinstance(k_index, (int, np.integer)):
+        raise ValueError("k_index must be an integer")
     u = mode.eigenbasis[1]
     k0 = (2 * np.pi / beta) * (k_index + 0.5)
     dt = beta / (FOURIER_PANELS // 2)
@@ -324,24 +303,22 @@ def time_ordered_average(mu, beta, factors):
     ``factors`` is a sequence of (time, "+"|"-", mode index) triples in
     written order; the ordering convention sorts times decreasing and,
     at equal times, annihilators first, then by mode index, with the
-    permutation's signature applied.
+    permutation's signature applied.  The empty product gives the
+    normalized trace Tr(e^{-beta H})/Z, which is 1 up to rounding.
     """
     mode = _as_mode(mu)
-    _check_beta(beta)
+    _check_beta(beta, *(f[0] for f in factors))
     for t, kind, index in factors:
-        if not 0 <= t < beta:
-            raise ValueError("times must lie in [0, beta)")
-        if kind not in ("+", "-") or not 0 <= index < mode.n:
+        if (kind not in ("+", "-") or not isinstance(index, (int, np.integer))
+                or not 0 <= index < mode.n):
             raise ValueError(f"bad factor ({t}, {kind}, {index})")
-    ops = mode.operators
-    state = mode.thermal_state(beta)
     order = sorted(range(len(factors)),
                    key=lambda k: _ordering_key(factors[k]))
     sign = canonicalize_bits(order)[1]
     times = [factors[k][0] for k in order]
-    mats = [ops.annihilators[factors[k][2]] if factors[k][1] == "-"
-            else ops.creators[factors[k][2]] for k in order]
-    return sign * _chain_trace(state, state.chain_decays(times, beta), mats)
+    mats = [mode.annihilators[factors[k][2]] if factors[k][1] == "-"
+            else mode.creators[factors[k][2]] for k in order]
+    return sign * _chain_trace(mode.chain_decays(times, beta), mats)
 
 
 def wick_check(mu, beta, n, times, indices):
@@ -402,7 +379,7 @@ def verify_lemmas(seed=20260817):
     records = []
 
     # canonical anticommutation relations of the constructed operators
-    err = max(_car_error(FockOperatorSet(np.eye(n)))
+    err = max(_car_error(ModeMatrix(np.eye(n)).annihilators)
               for n in range(1, MAX_MODES + 1))
     records.append(lemma_record("anticommutation", CAR_TOL, err))
 
@@ -449,13 +426,10 @@ def verify_lemmas(seed=20260817):
     for n in (1, 2):
         mode = _random_mode(rng, n, scale=0.1)
         for beta in (1.0, 5.0):
-            ops = mode.operators
-            state = mode.thermal_state(beta)
-            decays = state.chain_decays([0.0, 0.0], beta)
+            chain = mode.chain_decays([0.0, 0.0], beta)
             anti = np.array([[
-                _chain_trace(state, decays, [a, c])
-                + _chain_trace(state, decays, [c, a])
-                for c in ops.creators] for a in ops.annihilators])
+                _chain_trace(chain, [a, c]) + _chain_trace(chain, [c, a])
+                for c in mode.creators] for a in mode.annihilators])
             err = max(err, float(np.max(np.abs(anti - np.eye(n)))))
             jump = matsubara_two_point(mode, beta, 1e-3, 10 ** 4) \
                 - matsubara_two_point(mode, beta, -1e-3, 10 ** 4)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hfrg.fock import (
-    FockOperatorSet,
     ModeMatrix,
     closed_form_two_point,
     fourier_two_point,
@@ -63,7 +62,7 @@ def test_equal_time_ordering_puts_annihilator_left():
 def test_anticommutators_of_constructed_operators():
     rng = np.random.default_rng(3)
     for n in range(1, 5):
-        ops = FockOperatorSet(random_mode(rng, n))
+        ops = random_mode(rng, n)
         eye = np.eye(1 << n)
         for i in range(n):
             for j in range(n):
@@ -79,8 +78,7 @@ def test_anticommutators_of_constructed_operators():
 def test_quadratic_hamiltonian_is_hermitian_with_mode_spectrum():
     rng = np.random.default_rng(4)
     mode = random_mode(rng, 3)
-    ops = FockOperatorSet(mode)
-    h = ops.hamiltonian
+    h = mode.hamiltonian
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     # many-body spectrum consists of all subset sums of the mode levels
     lam = np.linalg.eigvalsh(mode.mu)
@@ -216,7 +214,7 @@ def test_mode_matrix_keeps_a_read_only_copy():
         mode.mu[0, 0] = 1.0
     raw[0, 0] = 9.0
     assert mode.mu[0, 0] == 0.5
-    for fixture in (mode.eigenbasis[1], mode.operators.hamiltonian,
+    for fixture in (mode.eigenbasis[1], mode.hamiltonian,
                     mode.matsubara_kernel(2.0, 10)[1],
                     *mode.fourier_weights(2.0)):
         with pytest.raises(ValueError):
@@ -279,6 +277,38 @@ def test_argument_validation():
         time_ordered_average(flat, 2.0, [(0.1, "x", 0)])
     with pytest.raises(ValueError):
         time_ordered_average(flat, 2.0, [(0.1, "-", 1)])
+    with pytest.raises(ValueError):
+        time_ordered_average(flat, 2.0, [(0.1, "-", 0.5)])
+    with pytest.raises(ValueError):
+        closed_form_two_point([[0.3]], 2.0, 5.0, 0.1)
+    with pytest.raises(ValueError):
+        fourier_two_point(flat, 2.0, 0.5)
+    # NumPy integers index modes and frequencies like ints
+    time_ordered_average(flat, 2.0, [(0.1, "-", np.int64(0))])
+    fourier_two_point(flat, 2.0, np.int64(1))
+
+
+def test_empty_product_is_the_normalized_trace():
+    assert time_ordered_average([[0.3]], 2.0, []) == 1
+    rng = np.random.default_rng(60)
+    for n in (2, 3, 4):
+        value = time_ordered_average(random_mode(rng, n), 3.0, [])
+        assert abs(value - 1) < 1e-14
+
+
+def test_one_many_body_eigendecomposition_per_mode(monkeypatch):
+    mode = random_mode(np.random.default_rng(61), 2)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for beta in (1.0, 5.0):
+        thermal_two_point(mode, beta, 0.7, 0.2)
+    assert calls.count((4, 4)) == 1
 
 
 def test_lemma_battery_passes_and_serializes():

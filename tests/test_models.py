@@ -1,13 +1,16 @@
 """Model definitions: operator transcription, projection, lattice."""
 
+import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial
+from hfrg.integration import PropagatorTable, integrate_polynomial
 from hfrg.models import (LATTICE, bands, graphene_model, kondo_model, omega,
                          operator_fingerprint, project_onto_basis)
 from hfrg.scalars import ImpurityElement
@@ -138,6 +141,66 @@ def test_kondo_basis_is_su2_invariant_as_built(unipotent):
         if label == "exchange":
             # the field alone is not enough: the impurity must turn too
             assert moved != poly
+
+
+# the finite and torus symmetries of the graphene spec, each a map from
+# a generator to (factor, image generator), applied to external and
+# internal generators alike
+OTHER = {"up": "dn", "dn": "up", "a": "b", "b": "a", "+": "-", "-": "+"}
+GRAPHENE_SYMMETRIES = {
+    "spin_flip": lambda g: (1, replace(g, spin=OTHER[g.spin])),
+    "sublattice_swap": lambda g: (1, replace(g, species=OTHER[g.species])),
+    "particle_hole": lambda g: (-1 if g.species == "b" else 1,
+                                replace(g, conj=OTHER[g.conj])),
+    "charge": lambda g: (3 if g.conj == "+" else Fraction(1, 3), g),
+    "s_z": lambda g: (3 if (g.conj == "+") == (g.spin == "up")
+                      else Fraction(1, 3), g),
+}
+
+
+def _graphene_substitution(name):
+    u = GRAPHENE.universe
+    images = {}
+    for g in u.gens:
+        factor, image = GRAPHENE_SYMMETRIES[name](g)
+        images[u.bit_of[g]] = u.generator(image).scale(Fraction(factor))
+    return images
+
+
+def _keeps_covariance(table, images):
+    """Whether the Gaussian integral of every product of two distinct
+    internal generators survives the substitution, entry by entry."""
+    u = GRAPHENE.universe
+    inner = [u.generator(g) for g in u.gens if g.kind == "int"]
+    return all(integrate_polynomial(u, table, p * q)
+               == integrate_polynomial(u, table, (p * q).substitute(images))
+               for p, q in itertools.combinations(inner, 2))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHENE_SYMMETRIES))
+def test_graphene_spec_is_invariant(name):
+    u = GRAPHENE.universe
+    images = _graphene_substitution(name)
+    assert _keeps_covariance(GRAPHENE.propagator, images)
+    (split,) = GRAPHENE.images
+    for bit in split:
+        assert split[bit].substitute(images) == images[bit].substitute(split)
+    for label, poly in GRAPHENE.basis.entries:
+        assert poly.substitute(images) == poly, label
+    assert any(images[u.bit_of[g]] != u.generator(g) for g in u.gens)
+
+
+def test_a_spin_dependent_propagator_breaks_spin_flip_only():
+    u = GRAPHENE.universe
+    entries = {}
+    for s, value in (("up", -1), ("dn", -2)):
+        for minus, plus in (("a", "b"), ("b", "a")):
+            entries[(GeneratorId("int", 0, minus, s, "-"),
+                     GeneratorId("int", 0, plus, s, "+"))] = Fraction(value)
+    table = PropagatorTable(u, entries)
+    broken = [name for name in sorted(GRAPHENE_SYMMETRIES)
+              if not _keeps_covariance(table, _graphene_substitution(name))]
+    assert broken == ["spin_flip"]
 
 
 def test_graphene_propagator_cross_sublattice_only():
