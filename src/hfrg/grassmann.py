@@ -6,7 +6,11 @@ generators in ascending bit order.  All sign bookkeeping reduces to
 counting crossings with popcounts, so the same engine serves every
 coefficient ring (rationals, coupling polynomials, impurity elements).
 Coefficients multiply in operand order, which keeps noncommutative
-rings honest; rational scalars are always central.
+rings honest; rational scalars are always central.  Symmetric models
+repeat coefficients on many masks, so a product of two many-term
+polynomials lets equal coefficients of one type (2, a constant coupling
+polynomial and a scalar matrix are three types) share one object and
+multiplies each distinct ordered pair once, in a memo local to it.
 """
 
 from __future__ import annotations
@@ -147,12 +151,22 @@ class GrassmannPolynomial:
     def __mul__(self, other):
         if not isinstance(other, GrassmannPolynomial):
             return self.scale(other)
+        a, b = self.terms.items(), other.terms.items()
+        products = None
+        if len(a) > 1 and len(b) > 1:
+            shared = {}
+            a, b = ([(m, shared.setdefault((type(c), c), c)) for m, c in t]
+                    for t in (a, b))
+            products = {}   # (id(c1), id(c2)) -> c1 * c2, for this call only
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a:
+            for m2, c2 in b:
                 if m1 & m2:
                     continue
-                c = c1 * c2
+                if products is None:
+                    c = c1 * c2
+                elif (c := products.get(key := (id(c1), id(c2)))) is None:
+                    c = products[key] = c1 * c2
                 if merge_sign(m1, m2) < 0:
                     c = -c
                 # add_terms written out: fed by a generator it ran slower

@@ -350,7 +350,10 @@ def rg_step(spec):
     3. Re-expand per Grassmann degree d over the denominator c0 ** p:
        for "exp-log" replication * log(c0 + w), a log series with
        p = d/2, so every numerator stays an exact polynomial; for
-       "product" w / c0, with p = 1 and multiplier 1.
+       "product" w / c0, with p = 1 and multiplier 1.  The series
+       sum_k a_k c0 ** (p - k) (w ** k)_d runs by Horner in c0,
+       s <- s * c0 + a_k (w ** k)_d for k = 1..p, so no power of c0
+       is built.
     4. Project each degree onto that degree's basis operators; any
        residual raises :class:`SymmetryViolation`.
     """
@@ -395,11 +398,8 @@ def rg_step(spec):
         p = power(d)
         series = GrassmannPolynomial()
         for k in range(1, p + 1):
-            part = powers[k].degree_part(d)
-            if not part.terms:
-                continue
-            scale = c0 ** (p - k) * Fraction((-1) ** (k + 1) * multiplier, k)
-            series = series + part.scale(scale)
+            series = series.scale(c0) + powers[k].degree_part(d).scale(
+                Fraction((-1) ** (k + 1) * multiplier, k))
         coeffs, residual = project_onto_basis(
             series, [spec.basis.polys[i] for i in idxs])
         if residual.terms:

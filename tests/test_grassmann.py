@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfrg.couplings import CouplingPolynomial
+from hfrg.couplings import CouplingPolynomial, add_terms
 from hfrg.grassmann import (GrassmannPolynomial, SingularNormalization,
                             SubstitutionError, bits_of, canonicalize_bits,
                             exp_truncated, log_truncated, merge_sign)
@@ -169,3 +169,50 @@ def test_zero_matrix_coefficients_are_never_stored():
     assert a.scale(e22).terms == {}
     assert (a * e22).terms == {}
     assert a.scale(e11).terms == {0b01: e11}
+
+
+def _type_signature(c):
+    return (type(c), *map(type, getattr(c, "entries", ())))
+
+
+def test_product_matches_the_per_pair_loop():
+    """Each distinct ordered coefficient pair is multiplied once, but
+    the product equals one coefficient product per term pair, in
+    operand order and with the coefficients' own types: equal values
+    of different rings are never shared."""
+    def reference(p, q):
+        out = {}
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                if not m1 & m2:
+                    c = c1 * c2
+                    add_terms(out, [(m1 | m2, c if merge_sign(m1, m2) > 0
+                                     else -c)])
+        return out
+
+    def x():
+        return ImpurityElement(1, 2, 0, 3)
+
+    def y():
+        return ImpurityElement(0, 1, 5, 0)
+
+    assert x() * y() != y() * x()
+    matrices = GrassmannPolynomial(
+        {0b0001: x(), 0b0010: y(), 0b0100: x(), 0b1000: y(), 0b0110: x()})
+    others = GrassmannPolynomial(
+        {0b10000: y(), 0b01000: y(), 0b00001: x(), 0b100000: x()})
+    mixed = GrassmannPolynomial(
+        {0b000001: Fraction(2), 0b000010: CouplingPolynomial.constant(2, 2),
+         0b000100: ImpurityElement.scalar(2), 0b001000: Fraction(2),
+         0b010000: CouplingPolynomial.constant(2, 2),
+         0b100000: ImpurityElement.scalar(2)})
+    operands = (matrices, others, mixed, GrassmannPolynomial({0b1: x()}))
+    for p in operands:
+        for q in operands:
+            expected = reference(p, q)
+            got = (p * q).terms
+            assert got == expected
+            assert list(got) == list(expected)
+            assert ({m: _type_signature(c) for m, c in got.items()}
+                    == {m: _type_signature(c) for m, c in expected.items()})
+    assert matrices * others != others * matrices

@@ -312,6 +312,40 @@ def test_building_both_maps_kernels_and_flow_loops_stays_small():
     assert peak < 4_000_000
 
 
+def test_graphene_step_multiplies_few_term_pairs(monkeypatch):
+    # 222,435 polynomial term pairs when every Grassmann term pair and
+    # every power c0 ** (p - k) multiplied; 97,300 with the log series
+    # by Horner in c0 and each distinct coefficient pair multiplied once
+    pairs = 0
+    mul = CouplingPolynomial.__mul__
+
+    def counted(a, b):
+        nonlocal pairs
+        if isinstance(b, CouplingPolynomial):
+            pairs += len(a) * len(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(CouplingPolynomial, "__mul__", counted)
+    rg_step(GRAPHENE)
+    assert pairs <= 100_000
+
+
+def test_graphene_step_memory_stays_small_and_is_given_back():
+    # peaked near 1.76 MB (1.67 MiB) before the shared coefficient
+    # products, ~1.59 MB after; a memo that outlived its product would
+    # raise the peak of a later step and stay behind after it
+    tracemalloc.start()
+    try:
+        beta = rg_step(GRAPHENE)
+        peak = tracemalloc.get_traced_memory()[1]
+        del beta
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_755_576
+    assert kept < 16_384
+
+
 # -- reproducibility -----------------------------------------------------
 
 
