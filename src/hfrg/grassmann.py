@@ -8,9 +8,11 @@ coefficient ring (rationals, coupling polynomials, impurity elements).
 Coefficients multiply in operand order, which keeps noncommutative
 rings honest; rational scalars are always central.  Symmetric models
 repeat coefficients on many masks, so a product of two many-term
-polynomials lets equal coefficients of one type (2, a constant coupling
-polynomial and a scalar matrix are three types) share one object and
-multiplies each distinct ordered pair once, in a memo local to it.
+polynomials lets equal coefficients of equal types, entries included,
+share one object (2, a constant coupling polynomial, and scalar
+matrices of rational and of polynomial entries are four types).  Every
+product multiplies each distinct ordered pair of coefficient objects
+once, in a memo local to it.
 """
 
 from __future__ import annotations
@@ -152,20 +154,17 @@ class GrassmannPolynomial:
         if not isinstance(other, GrassmannPolynomial):
             return self.scale(other)
         a, b = self.terms.items(), other.terms.items()
-        products = None
         if len(a) > 1 and len(b) > 1:
-            shared = {}
-            a, b = ([(m, shared.setdefault((type(c), c), c)) for m, c in t]
-                    for t in (a, b))
-            products = {}   # (id(c1), id(c2)) -> c1 * c2, for this call only
-        out = {}
+            shared = {}   # keyed by the types too, entries included
+            a, b = ([(m, shared.setdefault(
+                (type(c), *map(type, getattr(c, "entries", ())), c), c))
+                for m, c in t] for t in (a, b))
+        products, out = {}, {}   # products: (id(c1), id(c2)) -> c1 * c2
         for m1, c1 in a:
             for m2, c2 in b:
                 if m1 & m2:
                     continue
-                if products is None:
-                    c = c1 * c2
-                elif (c := products.get(key := (id(c1), id(c2)))) is None:
+                if (c := products.get(key := (id(c1), id(c2)))) is None:
                     c = products[key] = c1 * c2
                 if merge_sign(m1, m2) < 0:
                     c = -c

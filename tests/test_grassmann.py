@@ -179,7 +179,8 @@ def test_product_matches_the_per_pair_loop():
     """Each distinct ordered coefficient pair is multiplied once, but
     the product equals one coefficient product per term pair, in
     operand order and with the coefficients' own types: equal values
-    of different rings are never shared."""
+    of different rings, or matrices with entries of different rings,
+    are never shared."""
     def reference(p, q):
         out = {}
         for m1, c1 in p.terms.items():
@@ -201,11 +202,14 @@ def test_product_matches_the_per_pair_loop():
         {0b0001: x(), 0b0010: y(), 0b0100: x(), 0b1000: y(), 0b0110: x()})
     others = GrassmannPolynomial(
         {0b10000: y(), 0b01000: y(), 0b00001: x(), 0b100000: x()})
+    two = CouplingPolynomial.constant(2, 2)
     mixed = GrassmannPolynomial(
-        {0b000001: Fraction(2), 0b000010: CouplingPolynomial.constant(2, 2),
-         0b000100: ImpurityElement.scalar(2), 0b001000: Fraction(2),
-         0b010000: CouplingPolynomial.constant(2, 2),
-         0b100000: ImpurityElement.scalar(2)})
+        {0b00000001: Fraction(2), 0b00000010: two,
+         0b00000100: ImpurityElement.scalar(2), 0b00001000: Fraction(2),
+         0b00010000: CouplingPolynomial.constant(2, 2),
+         0b00100000: ImpurityElement(Fraction(2), 0, 0, Fraction(2)),
+         0b01000000: ImpurityElement.scalar(two),
+         0b10000000: ImpurityElement(two, 0, 0, two)})
     operands = (matrices, others, mixed, GrassmannPolynomial({0b1: x()}))
     for p in operands:
         for q in operands:
