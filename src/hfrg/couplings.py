@@ -17,9 +17,7 @@ coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
 One loop evaluates the packed terms, in floats or exactly;
 ``float_kernel`` unrolls it into straight-line code for one float
-point, with the same bits.  ``terms``
-(exponent tuple -> Fraction) is a read-only view for readers, built on
-first access; no path of the package builds it.
+point, with the same bits.
 """
 
 from __future__ import annotations
@@ -116,7 +114,9 @@ class CouplingPolynomial:
 
     @property
     def terms(self):
-        """Exponent tuple -> coefficient; read-only by convention."""
+        """Exponent tuple -> Fraction, a read-only view built on first
+        access.  No path of the package reads it: only bench/spans.py
+        and the tests do."""
         t = self._terms
         if t is None:
             t = self._terms = dict(self._sorted_terms())
@@ -209,18 +209,6 @@ class CouplingPolynomial:
             return NotImplemented
         return self * (1 / Fraction(other))
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = CouplingPolynomial.constant(self.nvars, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __bool__(self):
         return bool(self._c)
 
@@ -287,7 +275,8 @@ class CouplingPolynomial:
 
     def evaluate(self, values):
         """Evaluate at a value vector: in floats if any value is a
-        float, else exactly, as a Fraction."""
+        float, else exactly, as a Fraction.  No path of the package
+        calls it: only bench/spans.py and the tests do."""
         if len(values) != self.nvars:
             raise ValueError("value vector length mismatch")
         floats, _, mx = self._compiled or self._compile()

@@ -46,10 +46,6 @@ class Trajectory:
     termination: str
 
     @property
-    def final(self):
-        return self.points[-1][1]
-
-    @property
     def n_steps(self):
         return len(self.points) - 1
 

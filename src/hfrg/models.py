@@ -50,15 +50,8 @@ class OperatorBasis:
     entries: tuple  # of (label, GrassmannPolynomial over external bits)
 
     @property
-    def labels(self):
-        return tuple(label for label, _ in self.entries)
-
-    @property
     def polys(self):
         return tuple(p for _, p in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,58 +86,35 @@ def _graphene_universe():
 
 
 def _graphene_operators(u):
-    def m(*letters):
-        return u.monomial([_ext(sp, s, c) for (c, sp, s) in letters])
+    """The seven operators, each built from the sum of the distinct
+    images of one seed monomial, written as (conj, species, spin)
+    letters, under spin flip x sublattice swap."""
+    def orbit_sum(*seed):
+        images = {}
+        for spin in ({UP: UP, DN: DN}, {UP: DN, DN: UP}):
+            for species in ({"a": "a", "b": "b"}, {"a": "b", "b": "a"}):
+                images.update(u.monomial([_ext(species[sp], spin[s], c)
+                                          for c, sp, s in seed]).terms)
+        return GrassmannPolynomial(images)
 
-    zero = GrassmannPolynomial()
-
-    hopping = zero
-    for s in (UP, DN):
-        hopping = hopping + m((PLUS, "a", s), (MINUS, "b", s)) \
-            + m((PLUS, "b", s), (MINUS, "a", s))
-
-    onsite_pair = zero
-    for sp in ("a", "b"):
-        onsite_pair = onsite_pair + m(
-            (PLUS, sp, UP), (MINUS, sp, UP), (PLUS, sp, DN), (MINUS, sp, DN))
-
-    spin_exchange = (
-        m((PLUS, "a", UP), (MINUS, "a", DN), (PLUS, "b", DN), (MINUS, "b", UP))
-        + m((PLUS, "b", UP), (MINUS, "b", DN), (PLUS, "a", DN), (MINUS, "a", UP))
-        + m((PLUS, "a", DN), (MINUS, "a", UP), (PLUS, "b", UP), (MINUS, "b", DN))
-        + m((PLUS, "b", DN), (MINUS, "b", UP), (PLUS, "a", UP), (MINUS, "a", DN)))
-
-    parallel_density = zero
-    for s in (UP, DN):
-        parallel_density = parallel_density + m(
-            (PLUS, "a", s), (MINUS, "a", s), (PLUS, "b", s), (MINUS, "b", s))
-
-    pair_hopping = (
-        m((PLUS, "a", UP), (MINUS, "b", UP), (PLUS, "a", DN), (MINUS, "b", DN))
-        + m((PLUS, "b", UP), (MINUS, "a", UP), (PLUS, "b", DN), (MINUS, "a", DN)))
-
-    assisted_hopping = (
-        m((PLUS, "a", UP), (MINUS, "a", UP), (PLUS, "a", DN),
-          (MINUS, "b", UP), (PLUS, "b", UP), (MINUS, "b", DN))
-        + m((PLUS, "a", DN), (MINUS, "a", DN), (PLUS, "a", UP),
-            (MINUS, "b", DN), (PLUS, "b", DN), (MINUS, "b", UP))
-        + m((PLUS, "b", UP), (MINUS, "b", UP), (PLUS, "b", DN),
-            (MINUS, "a", UP), (PLUS, "a", UP), (MINUS, "a", DN))
-        + m((PLUS, "b", DN), (MINUS, "b", DN), (PLUS, "b", UP),
-            (MINUS, "a", DN), (PLUS, "a", DN), (MINUS, "a", UP)))
-
-    full_occupancy = m(
-        (PLUS, "a", UP), (MINUS, "a", UP), (PLUS, "a", DN), (MINUS, "a", DN),
-        (PLUS, "b", UP), (MINUS, "b", UP), (PLUS, "b", DN), (MINUS, "b", DN))
-
+    P, M = PLUS, MINUS
     return OperatorBasis((
-        ("hopping", hopping),
-        ("onsite_pair", onsite_pair),
-        ("spin_exchange", spin_exchange),
-        ("parallel_density", parallel_density),
-        ("pair_hopping", pair_hopping),
-        ("assisted_hopping", assisted_hopping),
-        ("full_occupancy", full_occupancy),
+        ("hopping", orbit_sum((P, "a", UP), (M, "b", UP))),
+        ("onsite_pair",
+         orbit_sum((P, "a", UP), (M, "a", UP), (P, "a", DN), (M, "a", DN))),
+        # the sum over all four group elements: each of its two
+        # distinct images comes twice
+        ("spin_exchange", orbit_sum((P, "a", UP), (M, "a", DN),
+                                    (P, "b", DN), (M, "b", UP)).scale(2)),
+        ("parallel_density",
+         orbit_sum((P, "a", UP), (M, "a", UP), (P, "b", UP), (M, "b", UP))),
+        ("pair_hopping",
+         orbit_sum((P, "a", UP), (M, "b", UP), (P, "a", DN), (M, "b", DN))),
+        ("assisted_hopping",
+         orbit_sum((P, "a", UP), (M, "a", UP), (P, "a", DN),
+                   (M, "b", UP), (P, "b", UP), (M, "b", DN))),
+        ("full_occupancy", orbit_sum(*((c, sp, s) for sp in "ab"
+                                       for s in (UP, DN) for c in (P, M)))),
     ))
 
 

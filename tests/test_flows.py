@@ -68,15 +68,15 @@ def test_marginal_axis_decays_toward_origin():
 def test_negative_marginal_start_reaches_nontrivial_point():
     traj = iterate_flow(K_BETA, (-0.01, 0.0), 10 ** 4)
     assert traj.termination == "converged"
-    assert abs(traj.final[0] - KONDO_L0_STAR) < 1e-9
-    assert abs(traj.final[1] - KONDO_L1_STAR) < 1e-9
+    assert abs(traj.points[-1][1][0] - KONDO_L0_STAR) < 1e-9
+    assert abs(traj.points[-1][1][1] - KONDO_L1_STAR) < 1e-9
 
 
 def test_small_generic_start_flows_to_unit_hopping():
     traj = iterate_flow(G_BETA, [1e-3] * 7, 500)
     assert traj.termination == "converged"
-    assert abs(traj.final[0] - 1.0) < 1e-12
-    assert max(abs(v) for v in traj.final[1:]) < 1e-12
+    assert abs(traj.points[-1][1][0] - 1.0) < 1e-12
+    assert max(abs(v) for v in traj.points[-1][1][1:]) < 1e-12
 
 
 def test_divergence_on_singular_normalization():
@@ -92,7 +92,7 @@ def test_divergence_cutoff_stops_a_growing_orbit():
     traj = iterate_flow(toy_map({1: 10}), (1.0,), 10)
     assert traj.termination == "diverged"
     assert traj.n_steps == 7
-    assert traj.final == (1e7,)
+    assert traj.points[-1][1] == (1e7,)
 
 
 def test_iterate_flow_requires_steps():
@@ -221,7 +221,7 @@ def test_zero_hopping_slice_is_sourced_not_contracting():
     assert abs(first[0]) > 1e-6
     traj = iterate_flow(G_BETA, start, 500)
     assert traj.termination == "converged"
-    assert abs(traj.final[0] - 1.0) < 1e-12
+    assert abs(traj.points[-1][1][0] - 1.0) < 1e-12
 
 
 # -- fixed points and stability ------------------------------------------

@@ -25,7 +25,7 @@ KONDO = kondo_model()
 
 
 def test_graphene_basis_shape():
-    labels = GRAPHENE.basis.labels
+    labels = tuple(label for label, _ in GRAPHENE.basis.entries)
     assert labels == ("hopping", "onsite_pair", "spin_exchange",
                       "parallel_density", "pair_hopping",
                       "assisted_hopping", "full_occupancy")
@@ -36,7 +36,8 @@ def test_graphene_basis_shape():
 
 
 def test_kondo_basis_shape():
-    assert KONDO.basis.labels == ("exchange", "double_occupancy")
+    assert tuple(label for label, _ in KONDO.basis.entries) == (
+        "exchange", "double_occupancy")
     assert [p.max_degree() for p in KONDO.basis.polys] == [2, 4]
 
 
@@ -158,11 +159,11 @@ GRAPHENE_SYMMETRIES = {
 }
 
 
-def _graphene_substitution(name):
-    u = GRAPHENE.universe
+def _substitution(u, symmetry):
+    """The image of every generator of ``u`` under ``symmetry``."""
     images = {}
     for g in u.gens:
-        factor, image = GRAPHENE_SYMMETRIES[name](g)
+        factor, image = symmetry(g)
         images[u.bit_of[g]] = u.generator(image).scale(Fraction(factor))
     return images
 
@@ -170,24 +171,64 @@ def _graphene_substitution(name):
 def _keeps_covariance(table, images):
     """Whether the Gaussian integral of every product of two distinct
     internal generators survives the substitution, entry by entry."""
-    u = GRAPHENE.universe
+    u = table.universe
     inner = [u.generator(g) for g in u.gens if g.kind == "int"]
     return all(integrate_polynomial(u, table, p * q)
                == integrate_polynomial(u, table, (p * q).substitute(images))
                for p, q in itertools.combinations(inner, 2))
 
 
+def _assert_keeps_covariance_and_splits(spec, images):
+    u = spec.universe
+    assert _keeps_covariance(spec.propagator, images)
+    for split in spec.images:
+        for bit in split:
+            assert split[bit].substitute(images) \
+                == images[bit].substitute(split)
+    assert any(images[u.bit_of[g]] != u.generator(g) for g in u.gens)
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHENE_SYMMETRIES))
 def test_graphene_spec_is_invariant(name):
-    u = GRAPHENE.universe
-    images = _graphene_substitution(name)
-    assert _keeps_covariance(GRAPHENE.propagator, images)
-    (split,) = GRAPHENE.images
-    for bit in split:
-        assert split[bit].substitute(images) == images[bit].substitute(split)
+    images = _substitution(GRAPHENE.universe, GRAPHENE_SYMMETRIES[name])
+    _assert_keeps_covariance_and_splits(GRAPHENE, images)
     for label, poly in GRAPHENE.basis.entries:
         assert poly.substitute(images) == poly, label
-    assert any(images[u.bit_of[g]] != u.generator(g) for g in u.gens)
+
+
+@pytest.mark.parametrize("src, dst", [("up", "dn"), ("dn", "up")])
+def test_graphene_spec_is_su2_invariant_on_the_plane(src, dst):
+    # the SU(2) unipotent psi+_dst -> psi+_dst + t psi+_src with
+    # psi-_src -> psi-_src - t psi-_dst on every generator, at t = 3/7;
+    # the two generate SL(2) over the rationals.  Of the quartics only
+    # the plane l3 = 2 l2 is invariant, through spin_exchange + 2
+    # parallel_density
+    t = Fraction(3, 7)
+    u = GRAPHENE.universe
+    images = {}
+    for g in u.gens:
+        image = u.generator(g)
+        if g.conj == "+" and g.spin == dst:
+            image = image + u.generator(replace(g, spin=src)).scale(t)
+        if g.conj == "-" and g.spin == src:
+            image = image + u.generator(replace(g, spin=dst)).scale(-t)
+        images[u.bit_of[g]] = image
+    _assert_keeps_covariance_and_splits(GRAPHENE, images)
+    ops = dict(GRAPHENE.basis.entries)
+    plane = ops["spin_exchange"] + ops["parallel_density"].scale(2)
+    for label in ("hopping", "onsite_pair", "pair_hopping",
+                  "assisted_hopping", "full_occupancy"):
+        assert ops[label].substitute(images) == ops[label], label
+    assert plane.substitute(images) == plane
+    assert ops["spin_exchange"].substitute(images) != ops["spin_exchange"]
+
+
+def test_kondo_spec_is_charge_invariant():
+    # charge acts on any universe: psi+ -> 3 psi+, psi- -> psi- / 3
+    images = _substitution(KONDO.universe, GRAPHENE_SYMMETRIES["charge"])
+    _assert_keeps_covariance_and_splits(KONDO, images)
+    for label, poly in KONDO.basis.entries:
+        assert poly.substitute(images) == poly, label
 
 
 def test_a_spin_dependent_propagator_breaks_spin_flip_only():
@@ -199,7 +240,8 @@ def test_a_spin_dependent_propagator_breaks_spin_flip_only():
                      GeneratorId("int", 0, plus, s, "+"))] = Fraction(value)
     table = PropagatorTable(u, entries)
     broken = [name for name in sorted(GRAPHENE_SYMMETRIES)
-              if not _keeps_covariance(table, _graphene_substitution(name))]
+              if not _keeps_covariance(
+                  table, _substitution(u, GRAPHENE_SYMMETRIES[name]))]
     assert broken == ["spin_flip"]
 
 
@@ -253,7 +295,7 @@ def test_field_images():
 
 @pytest.mark.parametrize("spec", [GRAPHENE, KONDO], ids=lambda s: s.name)
 def test_projection_is_identity_on_basis(spec):
-    n = len(spec.basis)
+    n = len(spec.basis.entries)
     for i, poly in enumerate(spec.basis.polys):
         coeffs, residual = project_onto_basis(poly, spec.basis)
         assert not residual.terms
