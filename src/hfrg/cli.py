@@ -6,13 +6,23 @@ Run parameters come from an optional flat key=value config file plus
 flags; a flag always wins over the file.  Exit codes: 0 on success, 1
 when a verification suite fails, 2 on usage errors, 3 on malformed
 configuration, an unreadable config file or an unwritable ``--output``;
-every command checks ``--output`` before any work.  Only
-``fixed-points``, ``vector-field`` and the thermal suite load NumPy.
+every command checks ``--output`` before any work.
 
 ``beta`` derives a model's exact map with ``rg_step``.  The float
 commands (``flow``, ``fixed-points``, ``vector-field``) read the same
 map as the package ships it, and ``verify maps`` derives both maps
 again and checks them against the shipped files.
+
+Each command imports what it runs when it runs.  ``import hfrg.cli``
+loads ``hfrg.rg`` and the two modules under it, ``hfrg.couplings`` and
+``hfrg.grassmann``.  On top of those:
+
+- ``flow`` loads ``hfrg.flows``; ``fixed-points`` and ``vector-field``
+  load it and NumPy;
+- ``beta``, ``verify maps`` and ``lattice`` load ``hfrg.models`` and,
+  through it, ``hfrg.integration`` and ``hfrg.scalars``;
+- ``verify integration`` loads ``hfrg.integration``; ``verify fock``
+  loads it, ``hfrg.fock`` and NumPy; ``verify all`` loads both suites'.
 """
 
 from __future__ import annotations
@@ -22,16 +32,25 @@ import json
 import math
 import sys
 
-from . import integration as _integration
-from .models import LATTICE, bands, graphene_model, kondo_model, omega
-from .rg import rg_step, shipped_map, verify_shipped_maps
+from .rg import shipped_map
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 
-MODEL_BUILDERS = {"graphene": graphene_model, "kondo": kondo_model}
+
+def _builder(model):
+    """A zero-argument builder of ``model``'s spec that looks up
+    ``models.<model>_model`` when called, so that only a derivation
+    loads ``hfrg.models``."""
+    def build():
+        from . import models
+        return getattr(models, f"{model}_model")()
+    return build
+
+
+MODEL_BUILDERS = {model: _builder(model) for model in ("graphene", "kondo")}
 
 CONFIG_FIELDS = ("model", "start", "steps", "axes", "range_i", "range_j",
                  "resolution", "slice", "output", "format")
@@ -212,6 +231,7 @@ class _Resolver:
 
 
 def cmd_beta(args):
+    from .rg import rg_step
     _writable(args.output)
     beta = rg_step(MODEL_BUILDERS[args.model]())
     text = beta.to_json() + "\n"
@@ -331,8 +351,10 @@ def cmd_verify(args):
         from . import fock
         records.extend(fock.verify_lemmas())
     if args.suite in ("integration", "all"):
-        records.extend(_integration.verify_identities())
+        from .integration import verify_identities
+        records.extend(verify_identities())
     if args.suite == "maps":
+        from .rg import verify_shipped_maps
         records.extend(verify_shipped_maps(MODEL_BUILDERS))
     _write_text(args.output, _json_text(records))
     failed = [r["lemma"] for r in records if not r["passed"]]
@@ -343,6 +365,7 @@ def cmd_verify(args):
 
 
 def cmd_lattice(args):
+    from .models import LATTICE, bands, omega
     cfg = _Resolver(args)
     resolution = cfg.get("resolution", _integer, 50, 2)
     lo, hi = cfg.get("range_i", _interval, (-math.pi, math.pi), resolution)

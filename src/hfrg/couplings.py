@@ -16,8 +16,9 @@ exponent tuples and adding two keys multiplies the monomials.  The
 coefficients are int numerators over one positive denominator per
 polynomial, kept in lowest terms, so the ring operations run on ints.
 One loop evaluates the packed terms, in floats or exactly;
-``float_kernel`` unrolls it into straight-line code for one float
-point, with the same bits.
+``float_lines`` unrolls it into straight-line code for one float
+point, with the same bits, and ``float_kernel`` wraps those lines in a
+function.
 """
 
 from __future__ import annotations
@@ -297,25 +298,32 @@ class CouplingPolynomial:
         return _sum_terms((self._compiled or self._compile())[0],
                           powers, 0.0)
 
-    def float_kernel(self):
-        """(function, argument names): ``evaluate_float`` at one point
-        as straight-line code.  The function takes the powers
-        ``x{i}_{k}`` = values[i]**k that the polynomial reads, in the
-        order of the names, and returns the same float bit for bit: its
-        body is ``0.0 + c * x.. * x.. + ...``, the products and sums of
+    def float_lines(self, target):
+        """Statements that set the local ``target`` to
+        ``evaluate_float`` at one point, bit for bit, from the powers
+        ``x{i}_{k}`` = values[i]**k: ``target = 0.0``, then ``target =
+        target + c * x.. * x.. + ...``, the products and sums of
         ``_sum_terms`` in the same order.  The source holds only float
         literals and generated names; long sums are split into
         statements of ``_KERNEL_CHUNK`` terms, since the compiler
         recurses once per ``+``."""
         floats = (self._compiled or self._compile())[0]
-        names = [power_name(i, k) for i, k in
-                 sorted({pair for _, nonzero in floats for pair in nonzero})]
         terms = [" * ".join([repr(c), *(power_name(i, k) for i, k in nonzero)])
                  for c, nonzero in floats]
-        lines = [f"def kernel({', '.join(names)}):", "    t = 0.0"]
-        lines += ["    t = t + " + " + ".join(terms[at:at + _KERNEL_CHUNK])
-                  for at in range(0, len(terms), _KERNEL_CHUNK)]
-        lines.append("    return t")
+        return [f"{target} = 0.0"] + [
+            f"{target} = {target} + " + " + ".join(terms[at:at + _KERNEL_CHUNK])
+            for at in range(0, len(terms), _KERNEL_CHUNK)]
+
+    def float_kernel(self):
+        """(function, argument names): ``float_lines`` as a function
+        that takes the powers the polynomial reads, in the order of the
+        names, and returns the same float bit for bit."""
+        floats = (self._compiled or self._compile())[0]
+        names = [power_name(i, k) for i, k in
+                 sorted({pair for _, nonzero in floats for pair in nonzero})]
+        lines = [f"def kernel({', '.join(names)}):",
+                 *(f"    {line}" for line in self.float_lines("t")),
+                 "    return t"]
         namespace = {}
         exec(compile("\n".join(lines), "<hfrg float kernel>", "exec"),
              namespace)

@@ -17,15 +17,18 @@ first use: one compiled function per polynomial and one per method that
 builds the powers and divides.  It repeats the per-term loop's float
 operations in the same order, so its values are bit-identical to that
 loop's.  ``flow_loop`` generates a flow's whole orbit the same way:
-one function per map whose loop runs those lines step after step and
-tests each step's exits with chained comparisons.  Exact values and the
-grid's float64 columns run the loop.
+one function per map whose loop runs the same statements step after
+step, with each polynomial's body written in place rather than called,
+and tests each step's exits with chained comparisons.  Exact values and
+the grid's float64 columns run the loop.
 
 The step's output never changes, so the package ships each model's map
 as the JSON text ``rg_step`` writes (``data/betamap_<model>.json``).
 :func:`shipped_map` reads it in a small fraction of the time the
 graphene step takes; :func:`verify_shipped_maps` derives both again and
-compares them byte for byte.
+compares them byte for byte.  Only those two derive, so they import
+``hfrg.integration``, ``hfrg.models`` and ``hfrg.scalars`` when called:
+reading and iterating a shipped map loads none of them.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ from pathlib import Path
 
 from .couplings import CouplingPolynomial, power_name, power_table
 from .grassmann import GrassmannPolynomial, SingularNormalization, exp_truncated
-from .integration import integrate_polynomial, lemma_record
-from .models import project_onto_basis
-from .scalars import ImpurityElement
 
 
 class SymmetryViolation(RuntimeError):
@@ -146,30 +146,32 @@ class BetaMap:
 
         The couplings stay in the locals ``v{i}``.  Each step runs the
         prologue of ``float_kernel`` and its quotients into ``w{i}``,
-        so the orbit has ``evaluate``'s bits.  A step that raises one
-        of ``errors`` or gives a non-finite value ends the orbit as
+        with the ``float_lines`` of each polynomial in place of a call
+        to its kernel, so a step makes no call per polynomial and the
+        orbit has ``evaluate``'s bits.  A step that raises one of
+        ``errors`` or gives a non-finite value ends the orbit as
         "diverged" before it is appended; one past ``cutoff`` in the
         max norm does so after.  A step that moves every coupling by
         less than ``tol`` ends it as "converged".  From a finite start
         every compared value is finite, so the chained comparisons
         equal those max-norm tests."""
-        n, namespace = self.n, {"isfinite": math.isfinite}
-        den, *nums = _calls(self._value_kernels, "k", namespace)
+        n = self.n
         vs, ws = (" ".join(f"{c}{i}," for i in range(n)) for c in "vw")
-        step = [*_prologue(self._max_exps, den),
-                *(f"w{i} = {num} / d ** {p}" for i, (num, p) in
-                  enumerate(zip(nums, self.denominator_powers))),
-                "if not (" + " and ".join(
-                    f"lo <= w{i} <= cutoff" for i in range(n)) + "):",
-                "    if " + " and ".join(
-                    f"isfinite(w{i})" for i in range(n)) + ":",
-                f"        points.append((index, ({ws})))",
-                "    return points, 'diverged'",
-                f"points.append((index, ({ws})))",
-                "if " + " and ".join(
-                    f"-tol < w{i} - v{i} < tol" for i in range(n)) + ":",
-                "    return points, 'converged'",
-                f"{vs} = {ws}"]
+        step = _prologue(self._max_exps, self.denominator.float_lines("d"))
+        for i, (num, p) in enumerate(zip(self.numerators,
+                                         self.denominator_powers)):
+            step += [*num.float_lines("t"), f"w{i} = t / d ** {p}"]
+        step += ["if not (" + " and ".join(
+                     f"lo <= w{i} <= cutoff" for i in range(n)) + "):",
+                 "    if " + " and ".join(
+                     f"isfinite(w{i})" for i in range(n)) + ":",
+                 f"        points.append((index, ({ws})))",
+                 "    return points, 'diverged'",
+                 f"points.append((index, ({ws})))",
+                 "if " + " and ".join(
+                     f"-tol < w{i} - v{i} < tol" for i in range(n)) + ":",
+                 "    return points, 'converged'",
+                 f"{vs} = {ws}"]
         lines = [f"points = [(0, ({vs}))]",
                  "lo = -cutoff",
                  "try:",
@@ -179,7 +181,7 @@ class BetaMap:
                  "    return points, 'diverged'",
                  "return points, 'max steps'"]
         return _compile(n, "values, max_steps, tol, cutoff, errors", lines,
-                        namespace)
+                        {"isfinite": math.isfinite})
 
     def as_point(self, values):
         """``values`` as a list, raising ValueError unless it holds one
@@ -290,14 +292,14 @@ def _calls(kernels, prefix, namespace):
 
 def _prologue(tops, den):
     """Lines that set the power locals ``x{i}_{k}`` from the coupling
-    locals ``v{i}`` by ``power_table``'s repeated products, then ``d``
-    by the call ``den``, raising if it vanishes."""
+    locals ``v{i}`` by ``power_table``'s repeated products, then the
+    lines ``den``, which set ``d``, then raise if it vanishes."""
     lines = []
     for i, top in enumerate(tops):
         lines.append(f"{power_name(i, 1)} = float(v{i})")
         lines += [f"{power_name(i, k)} = {power_name(i, k - 1)} * "
                   f"{power_name(i, 1)}" for k in range(2, top + 1)]
-    return lines + [f"d = {den}", "if not d:", "    raise _singular(values)"]
+    return lines + [*den, "if not d:", "    raise _singular(values)"]
 
 
 def _compile(n, params, lines, namespace):
@@ -314,10 +316,10 @@ def _compile(n, params, lines, namespace):
 
 
 def _link(tops, namespace, den, body):
-    """Compile ``kernel(values)``: the ``_prologue``, then the lines of
-    ``body``."""
-    return _compile(len(tops), "values", [*_prologue(tops, den), *body],
-                    namespace)
+    """Compile ``kernel(values)``: the ``_prologue`` with ``d`` set by
+    the call ``den``, then the lines of ``body``."""
+    return _compile(len(tops), "values",
+                    [*_prologue(tops, [f"d = {den}"]), *body], namespace)
 
 
 # ---------------------------------------------------------------- the step
@@ -330,9 +332,6 @@ def _formal_interaction(spec):
     for i, poly in enumerate(spec.basis.polys):
         w = w + poly.scale(CouplingPolynomial.variable(n, i))
     return w
-
-
-UNITS = {"rational": Fraction(1), "impurity": ImpurityElement.one()}
 
 
 def rg_step(spec):
@@ -357,10 +356,16 @@ def rg_step(spec):
     4. Project each degree onto that degree's basis operators; any
        residual raises :class:`SymmetryViolation`.
     """
+    # imported here, so that reading a shipped map loads none of them
+    from .integration import integrate_polynomial
+    from .models import project_onto_basis
+    from .scalars import ImpurityElement
+
     n = spec.n_couplings
-    if spec.ring not in UNITS:
+    units = {"rational": Fraction(1), "impurity": ImpurityElement.one()}
+    if spec.ring not in units:
         raise ValueError(f"unknown coefficient ring {spec.ring!r}")
-    one = UNITS[spec.ring] * CouplingPolynomial.constant(n, 1)
+    one = units[spec.ring] * CouplingPolynomial.constant(n, 1)
     v = _formal_interaction(spec)
     if spec.combination == "exp-log":
         factor = exp_truncated(v, one=one)
@@ -442,6 +447,8 @@ def verify_shipped_maps(builders):
     build`` of ``builders``, and compare its JSON text, as ``hfrg beta``
     writes it, with the shipped file byte for byte.  Returns one
     pass/fail record per model, named ``betamap_<model>``."""
+    from .integration import lemma_record
+
     records = []
     for model, build in builders.items():
         derived = (rg_step(build()).to_json() + "\n").encode()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hfrg import cli, flows, fock, rg
+from hfrg import cli, flows, fock, integration, models, rg
 from hfrg.flows import vector_field_grid
 from hfrg.models import kondo_model
 from hfrg.rg import rg_step, shipped_map
@@ -156,11 +156,11 @@ def _refuse(*args, **kwargs):
 def _refuse_all_work(monkeypatch):
     """Make every battery, derivation and float computation raise."""
     for owner, name in [(fock, "verify_lemmas"),
-                        (cli._integration, "verify_identities"),
-                        (cli, "verify_shipped_maps"), (cli, "rg_step"),
+                        (integration, "verify_identities"),
+                        (rg, "verify_shipped_maps"), (rg, "rg_step"),
                         (flows, "iterate_flow"),
                         (flows, "find_fixed_points"),
-                        (flows, "vector_field_grid"), (cli, "omega")]:
+                        (flows, "vector_field_grid"), (models, "omega")]:
         monkeypatch.setattr(owner, name, _refuse)
 
 
@@ -326,6 +326,36 @@ def test_numpy_commands_import_it_when_called():
         "assert 'numpy' in sys.modules\n")
 
 
+def test_float_commands_load_no_derivation_module():
+    # in a fresh interpreter: the in-process digest test runs after
+    # other tests have imported every module, so it cannot catch an
+    # import that only a fresh process is missing
+    cases = [case for case in json.loads(
+                 (Path(__file__).parent / "data" / "cli_outputs.json")
+                 .read_text())
+             if case["argv"][0] in ("flow", "fixed-points", "vector-field")]
+    # and a graphene flow, which has no digest
+    cases.append({"argv": ["flow", "--model", "graphene",
+                           "--start=" + ",".join(["0.05"] * 7)]})
+    _fresh_process(
+        "import contextlib, hashlib, io, sys\n"
+        "import hfrg.cli\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m == 'hfrg' or m.startswith('hfrg.'))\n"
+        "assert loaded == ['hfrg', 'hfrg.cli', 'hfrg.couplings',\n"
+        "                  'hfrg.grassmann', 'hfrg.rg'], loaded\n"
+        f"for case in {cases!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert hfrg.cli.main(case['argv']) == 0, case['argv']\n"
+        "    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "    assert case.get('stdout_sha256', digest) == digest, case['argv']\n"
+        "    late = [m for m in ('hfrg.models', 'hfrg.integration',\n"
+        "                        'hfrg.scalars', 'hfrg.fock')\n"
+        "            if m in sys.modules]\n"
+        "    assert not late, (case['argv'], late)\n")
+
+
 @given(st.integers(-10 ** 6, 0),
        st.lists(st.floats() | st.sampled_from(
            [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
@@ -462,7 +492,6 @@ def test_float_commands_read_the_shipped_maps_without_deriving(
     def no_step(spec):
         raise AssertionError(f"derived the {spec.name} map again")
     monkeypatch.setattr(rg, "rg_step", no_step)
-    monkeypatch.setattr(cli, "rg_step", no_step)
     for argv, (code, text) in zip(FLOAT_COMMANDS, expected):
         assert code == 0, argv
         assert output(argv) == (0, text), argv

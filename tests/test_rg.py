@@ -17,7 +17,7 @@ from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
                             SingularNormalization, bits_of)
 from hfrg.integration import PropagatorTable, integrate_polynomial
 from hfrg.models import OperatorBasis, graphene_model, kondo_model
-from hfrg.rg import (SHIPPED, UNITS, BetaMap, SymmetryViolation,
+from hfrg.rg import (SHIPPED, BetaMap, SymmetryViolation,
                      _formal_interaction, rg_step, shipped_map)
 from hfrg.scalars import ImpurityElement
 
@@ -119,8 +119,9 @@ def test_kondo_product_is_charge_neutral(variant):
     spec = kondo_variant(variant)
     u = spec.universe
     w = _formal_interaction(spec)
+    unit = {"rational": Fraction(1), "impurity": ImpurityElement.one()}
     one = GrassmannPolynomial.scalar(
-        UNITS[spec.ring] * CouplingPolynomial.constant(2, 1))
+        unit[spec.ring] * CouplingPolynomial.constant(2, 1))
     f = one
     for img in spec.images:
         f = f * (one + w.substitute(img))
