@@ -256,8 +256,9 @@ class CouplingPolynomial:
         is ``num / den`` or the int ``num`` with the ``(i, k)`` pairs of
         its nonzero exponents, in packed-key order, so a float sum does
         not depend on construction history (fresh vs deserialized).
-        The float terms are allocated first and together: interleaved
-        with the exact ones, float Jacobians ran ~3% slower."""
+        The float terms, read by ``evaluate_float`` (the grid) and
+        ``float_lines`` (the kernels), are allocated first and together:
+        interleaved, float Jacobians ran ~3% slower when they ran the loop."""
         shifts, den = list(enumerate(_shifts(self.nvars))), self._den
         items = sorted(self._c.items())
         floats = [(num / den, tuple((i, k) for i, s in shifts

@@ -299,54 +299,36 @@ def verify_identities(seed=20260817):
     """Exercise the defining identities of the Gaussian integral and
     return one pass/fail record per identity.
 
-    All checks are exact rational comparisons, so ``max_error`` counts
-    failing cases against a zero tolerance.
+    Every covariance drawn for the first three identities is held to
+    all three.  All checks are exact rational comparisons, so
+    ``max_error`` counts failing cases against a zero tolerance.
     """
     rng = random.Random(seed)
-    records = []
-
     one = GrassmannPolynomial.scalar(Fraction(1))
-
-    # the density is normalized: integrating 1 gives 1
-    failures = 0
+    routes = (integrate_polynomial, berezin_reference_integral)
+    unit = two_point = disagree = 0
     for n_pairs in (1, 2, 3):
         u = _battery_universe(n_pairs)
         for _ in range(3):
-            t, _ = _battery_table(rng, u, n_pairs)
-            for route in (integrate_polynomial, berezin_reference_integral):
-                if route(u, t, one) != one:
-                    failures += 1
-    records.append(lemma_record("normalized_unit", 0.0, failures))
-
-    # a minus-plus pair integrates to its table entry
-    failures = 0
-    for n_pairs in (2, 3):
-        u = _battery_universe(n_pairs)
-        t, rows = _battery_table(rng, u, n_pairs)
-        for a in range(n_pairs):
-            for b in range(n_pairs):
-                f = u.generator(_battery_pair(a, "-")) \
-                    * u.generator(_battery_pair(b, "+"))
-                expected = GrassmannPolynomial.scalar(rows[a][b])
-                for route in (integrate_polynomial,
-                              berezin_reference_integral):
-                    got = route(u, t, f)
-                    if got != expected:
-                        failures += 1
-    records.append(lemma_record("two_point_table", 0.0, failures))
-
-    # pairing recursion and density expansion agree on every monomial
-    failures = 0
-    for n_pairs in (1, 2, 3):
-        u = _battery_universe(n_pairs)
-        for _ in range(2):
-            t, _ = _battery_table(rng, u, n_pairs)
+            t, rows = _battery_table(rng, u, n_pairs)
+            # the density is normalized: integrating 1 gives 1
+            unit += sum(route(u, t, one) != one for route in routes)
+            # a minus-plus pair integrates to its table entry
+            for a in range(n_pairs):
+                for b in range(n_pairs):
+                    f = u.generator(_battery_pair(a, "-")) \
+                        * u.generator(_battery_pair(b, "+"))
+                    expected = GrassmannPolynomial.scalar(rows[a][b])
+                    two_point += sum(route(u, t, f) != expected
+                                     for route in routes)
+            # the two routes agree on every monomial
             for mask in range(1 << u.n):
                 f = GrassmannPolynomial({mask: Fraction(1)})
-                if integrate_polynomial(u, t, f) != \
-                        berezin_reference_integral(u, t, f):
-                    failures += 1
-    records.append(lemma_record("pairing_vs_density", 0.0, failures))
+                disagree += integrate_polynomial(u, t, f) != \
+                    berezin_reference_integral(u, t, f)
+    records = [lemma_record("normalized_unit", 0.0, unit),
+               lemma_record("two_point_table", 0.0, two_point),
+               lemma_record("pairing_vs_density", 0.0, disagree)]
 
     # convolution: a sum of covariances equals an iterated integral
     failures = 0

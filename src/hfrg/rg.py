@@ -112,8 +112,8 @@ class BetaMap:
     def float_kernel(self):
         """``evaluate`` at one float point, as one generated function.
 
-        It skips ``evaluate``'s length and type checks, so a caller that
-        steps many times checks its point once with :meth:`as_point`."""
+        It skips the length and type checks, which ``evaluate`` makes
+        with :meth:`as_point` before calling it."""
         namespace = {}
         den, *nums = _calls(self._value_kernels, "k", namespace)
         return _link(self._max_exps, namespace, den, [

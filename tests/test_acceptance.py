@@ -21,11 +21,11 @@ import numpy as np
 from hfrg.couplings import CouplingPolynomial
 from hfrg.flows import (classify_power_counting, find_fixed_points,
                         iterate_flow, vector_field_grid)
-from hfrg.fock import (closed_form_two_point, matsubara_two_point,
-                       thermal_two_point, wick_check)
+from hfrg.fock import (_random_mode, closed_form_two_point,
+                       matsubara_two_point, thermal_two_point, wick_check)
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial, bits_of
-from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
-                              _invert_exact, berezin_reference_integral,
+from hfrg.integration import (PropagatorTable, _battery_pair, _battery_table,
+                              _battery_universe, berezin_reference_integral,
                               integrate_polynomial)
 from hfrg.models import graphene_model, kondo_model
 from hfrg.rg import rg_step
@@ -78,41 +78,6 @@ def bisect_impurity_root():
 # criterion 2 rather than from any solver's output
 ROOT_BRACKET = bisect_impurity_root()
 KONDO_STAR = tuple(float(v) for v in impurity_star(ROOT_BRACKET[0]))
-
-
-# -- local battery helpers (same shape as the integration tests) --------
-
-
-def pair_gen(k, conj, child=0):
-    return GeneratorId("int", child, f"s{k}", "up", conj)
-
-
-def make_universe(n_pairs, child=0, children=None):
-    gens = []
-    for c in (children if children is not None else (child,)):
-        for k in range(n_pairs):
-            gens.append(pair_gen(k, "+", c))
-            gens.append(pair_gen(k, "-", c))
-    return Universe(gens)
-
-
-def random_table(universe, n_pairs, rng, child=0):
-    while True:
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                 for _ in range(n_pairs)] for _ in range(n_pairs)]
-        try:
-            _invert_exact([row[:] for row in rows])
-        except SingularPropagator:
-            continue
-        entries = {(pair_gen(a, "-", child),
-                    pair_gen(b, "+", child)): rows[a][b]
-                   for a in range(n_pairs) for b in range(n_pairs)}
-        return PropagatorTable(universe, entries), rows
-
-
-def random_hermitian(rng, n, scale=1.0):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (a + a.conj().T) / 2
 
 
 def lines_with_flip(rows, resolution, axis, coord):
@@ -314,15 +279,15 @@ def test_criterion_6_exact_integral_battery():
     # every monomial: five random invertible covariances per size
     checked = 0
     for n_pairs in (1, 2, 3, 4):
-        u = make_universe(n_pairs)
+        u = _battery_universe(n_pairs)
         for _ in range(5):
-            table, rows = random_table(u, n_pairs, rng)
+            table, rows = _battery_table(rng, u, n_pairs)
             assert integrate_polynomial(u, table, one) == one
             assert berezin_reference_integral(u, table, one) == one
             for a in range(n_pairs):
                 for b in range(n_pairs):
-                    f = u.generator(pair_gen(a, "-")) \
-                        * u.generator(pair_gen(b, "+"))
+                    f = u.generator(_battery_pair(a, "-")) \
+                        * u.generator(_battery_pair(b, "+"))
                     expected = GrassmannPolynomial.scalar(rows[a][b])
                     assert integrate_polynomial(u, table, f) == expected
             for mask in range(1 << u.n):
@@ -334,21 +299,21 @@ def test_criterion_6_exact_integral_battery():
     # covariance addition: integrating against g1 + g2 equals the
     # iterated integral over independent copies, on random monomials
     n_pairs = 2
-    u = make_universe(n_pairs)
-    u2 = make_universe(n_pairs, children=(0, 1))
+    u = _battery_universe(n_pairs)
+    u2 = _battery_universe(n_pairs, (0, 1))
     for _ in range(50):
-        t1, rows1 = random_table(u, n_pairs, rng)
-        t2, rows2 = random_table(u, n_pairs, rng)
+        t1, rows1 = _battery_table(rng, u, n_pairs)
+        t2, rows2 = _battery_table(rng, u, n_pairs)
         sum_entries = {}
         both_entries = {}
         for a in range(n_pairs):
             for b in range(n_pairs):
-                key = (pair_gen(a, "-"), pair_gen(b, "+"))
+                key = (_battery_pair(a, "-"), _battery_pair(b, "+"))
                 sum_entries[key] = rows1[a][b] + rows2[a][b]
-                both_entries[(pair_gen(a, "-", 0),
-                              pair_gen(b, "+", 0))] = rows1[a][b]
-                both_entries[(pair_gen(a, "-", 1),
-                              pair_gen(b, "+", 1))] = rows2[a][b]
+                both_entries[(_battery_pair(a, "-", 0),
+                              _battery_pair(b, "+", 0))] = rows1[a][b]
+                both_entries[(_battery_pair(a, "-", 1),
+                              _battery_pair(b, "+", 1))] = rows2[a][b]
         t_sum = PropagatorTable(u, sum_entries)
         t_both = PropagatorTable(u2, both_entries)
         mask = rng.randrange(1, 1 << u.n)
@@ -376,7 +341,7 @@ def test_criterion_7_thermal_oracle_battery():
     worst_closed = worst_mats = worst_wick = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 4))
-        mu = random_hermitian(rng, n)
+        mu = _random_mode(rng, n)
         for beta in (1.0, 5.0):
             hi, lo = sorted(rng.uniform(0.0, beta, size=2), reverse=True)
             for t, tbar in ((hi, lo), (lo, hi)):

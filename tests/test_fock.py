@@ -8,6 +8,7 @@ import pytest
 
 from hfrg.fock import (
     ModeMatrix,
+    _random_mode,
     closed_form_two_point,
     fourier_two_point,
     matsubara_two_point,
@@ -16,11 +17,6 @@ from hfrg.fock import (
     verify_lemmas,
     wick_check,
 )
-
-
-def random_mode(rng, n, scale=1.0):
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return ModeMatrix(scale * (raw + raw.conj().T) / 2)
 
 
 def test_single_mode_two_point_has_explicit_form():
@@ -43,7 +39,7 @@ def test_flat_mode_equal_time_value_is_one_half():
 @pytest.mark.parametrize("beta", [1.0, 5.0, 50.0])
 def test_dense_trace_matches_eigenbasis_closed_form(n, beta):
     rng = np.random.default_rng(100 * n + int(beta))
-    mode = random_mode(rng, n)
+    mode = _random_mode(rng, n)
     for _ in range(5):
         t, tbar = rng.uniform(0, beta, size=2)
         dense = thermal_two_point(mode, beta, t, tbar)
@@ -62,7 +58,7 @@ def test_equal_time_ordering_puts_annihilator_left():
 def test_anticommutators_of_constructed_operators():
     rng = np.random.default_rng(3)
     for n in range(1, 5):
-        ops = random_mode(rng, n)
+        ops = _random_mode(rng, n)
         eye = np.eye(1 << n)
         for i in range(n):
             for j in range(n):
@@ -77,7 +73,7 @@ def test_anticommutators_of_constructed_operators():
 
 def test_quadratic_hamiltonian_is_hermitian_with_mode_spectrum():
     rng = np.random.default_rng(4)
-    mode = random_mode(rng, 3)
+    mode = _random_mode(rng, 3)
     h = mode.hamiltonian
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     # many-body spectrum consists of all subset sums of the mode levels
@@ -94,7 +90,7 @@ def test_quadratic_hamiltonian_is_hermitian_with_mode_spectrum():
 @pytest.mark.parametrize("beta", [1.0, 5.0])
 def test_frequency_sum_converges_to_dense_two_point(n, beta):
     rng = np.random.default_rng(10 * n + int(beta))
-    mode = random_mode(rng, n)
+    mode = _random_mode(rng, n)
     for frac in (0.55, -0.4, 0.2):
         tau = frac * beta
         t, tbar = (tau, 0.0) if tau >= 0 else (0.0, -tau)
@@ -106,7 +102,7 @@ def test_frequency_sum_converges_to_dense_two_point(n, beta):
 def test_frequency_sum_jump_across_zero_is_identity():
     rng = np.random.default_rng(11)
     for n in (1, 2):
-        mode = random_mode(rng, n, scale=0.1)
+        mode = _random_mode(rng, n, scale=0.1)
         for beta in (1.0, 5.0):
             jump = matsubara_two_point(mode, beta, 1e-3, 10 ** 4) \
                 - matsubara_two_point(mode, beta, -1e-3, 10 ** 4)
@@ -128,7 +124,7 @@ def test_zero_frequency_branch_matches_principal_part_sum():
 def test_quadrature_fourier_coefficient_matches_resolvent(beta):
     rng = np.random.default_rng(int(beta))
     for n in (1, 2):
-        mode = random_mode(rng, n)
+        mode = _random_mode(rng, n)
         lam, u = np.linalg.eigh(mode.mu)
         for k_index in range(5):
             k0 = (2 * np.pi / beta) * (k_index + 0.5)
@@ -139,7 +135,7 @@ def test_quadrature_fourier_coefficient_matches_resolvent(beta):
 
 def test_pairing_identity_single_pair_is_exact():
     rng = np.random.default_rng(21)
-    mode = random_mode(rng, 2)
+    mode = _random_mode(rng, 2)
     lhs, rhs = wick_check(mode, 3.0, 1, (1.2, 0.4), (0, 1))
     assert lhs == rhs
 
@@ -148,7 +144,7 @@ def test_pairing_identity_single_pair_is_exact():
 def test_pairing_identity_reduces_to_signed_sum(n_pairs):
     rng = np.random.default_rng(30 + n_pairs)
     for modes in (1, 2, 3):
-        mode = random_mode(rng, modes)
+        mode = _random_mode(rng, modes)
         beta = 2.0
         for _ in range(3):
             times = tuple(rng.uniform(0, beta, size=2 * n_pairs))
@@ -172,7 +168,7 @@ def test_engine_integral_of_the_word_is_the_two_point_determinant():
     beta = 2.0
     for n_pairs in (1, 2, 3):
         for modes in (1, 2, 3, 4):
-            mode = random_mode(rng, modes)
+            mode = _random_mode(rng, modes)
             for _ in range(5):
                 times = tuple(rng.uniform(0, beta, size=2 * n_pairs))
                 indices = tuple(rng.integers(0, modes, size=2 * n_pairs))
@@ -190,7 +186,7 @@ def test_engine_integral_of_the_word_is_the_two_point_determinant():
 
 def test_swapping_two_written_factors_flips_the_sign():
     rng = np.random.default_rng(40)
-    mode = random_mode(rng, 2)
+    mode = _random_mode(rng, 2)
     factors = [(0.3, "-", 0), (1.4, "+", 1), (0.9, "-", 1), (1.9, "+", 0)]
     base = time_ordered_average(mode, 3.0, factors)
     swapped = [factors[0], factors[2], factors[1], factors[3]]
@@ -245,7 +241,7 @@ def _fock_outputs(mu):
 
 
 def test_a_used_mode_gives_the_values_of_a_fresh_one():
-    mode = random_mode(np.random.default_rng(50), 3)
+    mode = _random_mode(np.random.default_rng(50), 3)
     _fock_outputs(mode)
     used = _fock_outputs(mode)
     fresh = _fock_outputs(ModeMatrix(mode.mu))
@@ -292,12 +288,12 @@ def test_empty_product_is_the_normalized_trace():
     assert time_ordered_average([[0.3]], 2.0, []) == 1
     rng = np.random.default_rng(60)
     for n in (2, 3, 4):
-        value = time_ordered_average(random_mode(rng, n), 3.0, [])
+        value = time_ordered_average(_random_mode(rng, n), 3.0, [])
         assert abs(value - 1) < 1e-14
 
 
 def test_one_many_body_eigendecomposition_per_mode(monkeypatch):
-    mode = random_mode(np.random.default_rng(61), 2)
+    mode = _random_mode(np.random.default_rng(61), 2)
     calls = []
     eigh = np.linalg.eigh
 

@@ -13,47 +13,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hfrg import integration
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial
 from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
-                              berezin_reference_integral, _invert_exact,
-                              integrate_polynomial, row_reduce)
+                              _battery_pair, _battery_table,
+                              _battery_universe, _invert_exact,
+                              berezin_reference_integral,
+                              integrate_polynomial, row_reduce,
+                              verify_identities)
 from hfrg.scalars import ImpurityElement
-
-
-def pair_gen(k, conj, child=0):
-    return GeneratorId("int", child, f"s{k}", "up", conj)
 
 
 def ext_gen(i):
     return GeneratorId("ext", 0, f"e{i}", "up", "+")
 
 
-def make_universe(n_pairs, n_ext=0, child=0):
-    gens = [ext_gen(i) for i in range(n_ext)]
-    for k in range(n_pairs):
-        gens.append(pair_gen(k, "+", child))
-        gens.append(pair_gen(k, "-", child))
-    return Universe(gens)
+def with_externals(n_ext, universe):
+    return Universe([*map(ext_gen, range(n_ext)), *universe.gens])
 
 
 def random_fraction(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def random_table(universe, n_pairs, rng, child=0):
-    while True:
-        rows = [[random_fraction(rng) for _ in range(n_pairs)]
-                for _ in range(n_pairs)]
-        try:
-            _invert_exact([row[:] for row in rows])
-        except SingularPropagator:
-            continue
-        entries = {}
-        for a in range(n_pairs):
-            for b in range(n_pairs):
-                entries[(pair_gen(a, "-", child),
-                         pair_gen(b, "+", child))] = rows[a][b]
-        return PropagatorTable(universe, entries), rows
 
 
 def random_poly(universe, rng, max_terms=6):
@@ -67,19 +47,19 @@ def random_poly(universe, rng, max_terms=6):
 
 
 def test_integral_of_one_is_one():
-    u = make_universe(2)
-    t, _ = random_table(u, 2, random.Random(0))
+    u = _battery_universe(2)
+    t, _ = _battery_table(random.Random(0), u, 2)
     one = GrassmannPolynomial.scalar(Fraction(1))
     assert integrate_polynomial(u, t, one) == one
     assert berezin_reference_integral(u, t, one) == one
 
 
 def test_single_pair_orientation():
-    u = make_universe(1)
+    u = _battery_universe(1)
     g = Fraction(3, 7)
-    t = PropagatorTable(u, {(pair_gen(0, "-"), pair_gen(0, "+")): g})
-    minus = u.generator(pair_gen(0, "-"))
-    plus = u.generator(pair_gen(0, "+"))
+    t = PropagatorTable(u, {(_battery_pair(0, "-"), _battery_pair(0, "+")): g})
+    minus = u.generator(_battery_pair(0, "-"))
+    plus = u.generator(_battery_pair(0, "+"))
     for route in (integrate_polynomial, berezin_reference_integral):
         assert route(u, t, minus * plus) == GrassmannPolynomial.scalar(g)
         assert route(u, t, plus * minus) == GrassmannPolynomial.scalar(-g)
@@ -89,11 +69,12 @@ def test_single_pair_orientation():
 
 def test_two_point_matches_table():
     rng = random.Random(1)
-    u = make_universe(3)
-    t, rows = random_table(u, 3, rng)
+    u = _battery_universe(3)
+    t, rows = _battery_table(rng, u, 3)
     for a in range(3):
         for b in range(3):
-            f = u.generator(pair_gen(a, "-")) * u.generator(pair_gen(b, "+"))
+            f = u.generator(_battery_pair(a, "-")) \
+                * u.generator(_battery_pair(b, "+"))
             expected = GrassmannPolynomial.scalar(rows[a][b])
             got = integrate_polynomial(u, t, f)
             assert got == expected or (not got and not expected)
@@ -122,21 +103,21 @@ def test_dual_routes_agree_on_random_polys():
     for trial in range(25):
         n_pairs = rng.randint(1, 3)
         n_ext = rng.randint(0, 3)
-        u = make_universe(n_pairs, n_ext)
-        t, _ = random_table(u, n_pairs, rng)
+        u = with_externals(n_ext, _battery_universe(n_pairs))
+        t, _ = _battery_table(rng, u, n_pairs)
         f = random_poly(u, rng)
         assert integrate_polynomial(u, t, f) == \
             berezin_reference_integral(u, t, f), (trial, f.terms)
 
 
 def test_external_spectators_pass_through():
-    u = make_universe(1, n_ext=2)
+    u = with_externals(2, _battery_universe(1))
     t = PropagatorTable(
-        u, {(pair_gen(0, "-"), pair_gen(0, "+")): Fraction(2)})
+        u, {(_battery_pair(0, "-"), _battery_pair(0, "+")): Fraction(2)})
     e0, e1 = ext_gen(0), ext_gen(1)
     # e0 minus e1 plus : contraction jumps over e1
-    f = (u.generator(e0) * u.generator(pair_gen(0, "-")) * u.generator(e1)
-         * u.generator(pair_gen(0, "+")))
+    f = (u.generator(e0) * u.generator(_battery_pair(0, "-")) * u.generator(e1)
+         * u.generator(_battery_pair(0, "+")))
     got = integrate_polynomial(u, t, f)
     expected = (u.generator(e0) * u.generator(e1)).scale(Fraction(-2))
     assert got == expected
@@ -144,16 +125,16 @@ def test_external_spectators_pass_through():
 
 
 def test_unmatched_internal_content_vanishes():
-    u = make_universe(2)
-    t, _ = random_table(u, 2, random.Random(3))
-    f = u.generator(pair_gen(0, "-")) * u.generator(pair_gen(1, "-"))
+    u = _battery_universe(2)
+    t, _ = _battery_table(random.Random(3), u, 2)
+    f = u.generator(_battery_pair(0, "-")) * u.generator(_battery_pair(1, "-"))
     assert not integrate_polynomial(u, t, f)
     assert not berezin_reference_integral(u, t, f)
 
 
 def test_singular_covariance_raises_in_oracle():
-    u = make_universe(2)
-    entries = {(pair_gen(a, "-"), pair_gen(b, "+")): Fraction(1)
+    u = _battery_universe(2)
+    entries = {(_battery_pair(a, "-"), _battery_pair(b, "+")): Fraction(1)
                for a in range(2) for b in range(2)}
     t = PropagatorTable(u, entries)
     with pytest.raises(SingularPropagator):
@@ -163,9 +144,9 @@ def test_singular_covariance_raises_in_oracle():
 
 def test_reused_table_gives_the_values_of_a_fresh_equal_table():
     rng = random.Random(7)
-    u = make_universe(3)
-    t, rows = random_table(u, 3, rng)
-    entries = {(pair_gen(a, "-"), pair_gen(b, "+")): rows[a][b]
+    u = _battery_universe(3)
+    t, rows = _battery_table(rng, u, 3)
+    entries = {(_battery_pair(a, "-"), _battery_pair(b, "+")): rows[a][b]
                for a in range(3) for b in range(3)}
     for mask in range(1 << u.n):
         f = GrassmannPolynomial({mask: Fraction(1)})
@@ -175,8 +156,8 @@ def test_reused_table_gives_the_values_of_a_fresh_equal_table():
 
 
 def test_singular_table_raises_on_every_call():
-    u = make_universe(2)
-    entries = {(pair_gen(a, "-"), pair_gen(b, "+")): Fraction(1)
+    u = _battery_universe(2)
+    entries = {(_battery_pair(a, "-"), _battery_pair(b, "+")): Fraction(1)
                for a in range(2) for b in range(2)}
     t = PropagatorTable(u, entries)
     one = GrassmannPolynomial.scalar(Fraction(1))
@@ -186,27 +167,18 @@ def test_singular_table_raises_on_every_call():
 
 
 def test_table_validation():
-    u = make_universe(1)
+    u = _battery_universe(1)
     with pytest.raises(ValueError):
-        PropagatorTable(u, {(pair_gen(0, "+"), pair_gen(0, "-")):
+        PropagatorTable(u, {(_battery_pair(0, "+"), _battery_pair(0, "-")):
                             Fraction(1)})
-    u2 = Universe([pair_gen(0, "+", 0), pair_gen(0, "-", 0),
-                   pair_gen(0, "+", 1), pair_gen(0, "-", 1)])
+    u2 = Universe([_battery_pair(0, "+", 0), _battery_pair(0, "-", 0),
+                   _battery_pair(0, "+", 1), _battery_pair(0, "-", 1)])
     with pytest.raises(ValueError):
-        PropagatorTable(u2, {(pair_gen(0, "-", 0), pair_gen(0, "+", 1)):
-                             Fraction(1)})
+        PropagatorTable(u2, {(_battery_pair(0, "-", 0),
+                              _battery_pair(0, "+", 1)): Fraction(1)})
     # an explicit block merging the two children allows the pairing
-    PropagatorTable(u2, {(pair_gen(0, "-", 0), pair_gen(0, "+", 1)):
+    PropagatorTable(u2, {(_battery_pair(0, "-", 0), _battery_pair(0, "+", 1)):
                          Fraction(1)}, blocks=[{0, 1}])
-
-
-def doubled_universe(n_pairs, n_ext):
-    gens = [ext_gen(i) for i in range(n_ext)]
-    for child in (0, 1):
-        for k in range(n_pairs):
-            gens.append(pair_gen(k, "+", child))
-            gens.append(pair_gen(k, "-", child))
-    return Universe(gens)
 
 
 def test_gaussian_addition_property():
@@ -214,21 +186,21 @@ def test_gaussian_addition_property():
     iterated integral of f(psi1 + psi2)."""
     rng = random.Random(7)
     n_pairs, n_ext = 2, 2
-    u = make_universe(n_pairs, n_ext)
-    u2 = doubled_universe(n_pairs, n_ext)
+    u = with_externals(n_ext, _battery_universe(n_pairs))
+    u2 = with_externals(n_ext, _battery_universe(n_pairs, (0, 1)))
     for _ in range(10):
-        t1, rows1 = random_table(u, n_pairs, rng)
-        t2, rows2 = random_table(u, n_pairs, rng)
+        t1, rows1 = _battery_table(rng, u, n_pairs)
+        t2, rows2 = _battery_table(rng, u, n_pairs)
         sum_entries = {}
         both_entries = {}
         for a in range(n_pairs):
             for b in range(n_pairs):
-                key = (pair_gen(a, "-"), pair_gen(b, "+"))
+                key = (_battery_pair(a, "-"), _battery_pair(b, "+"))
                 sum_entries[key] = rows1[a][b] + rows2[a][b]
-                both_entries[(pair_gen(a, "-", 0), pair_gen(b, "+", 0))] = \
-                    rows1[a][b]
-                both_entries[(pair_gen(a, "-", 1), pair_gen(b, "+", 1))] = \
-                    rows2[a][b]
+                both_entries[(_battery_pair(a, "-", 0),
+                              _battery_pair(b, "+", 0))] = rows1[a][b]
+                both_entries[(_battery_pair(a, "-", 1),
+                              _battery_pair(b, "+", 1))] = rows2[a][b]
         t_sum = PropagatorTable(u, sum_entries)
         t_both = PropagatorTable(u2, both_entries)
 
@@ -262,6 +234,31 @@ def test_gaussian_addition_property():
         assert lhs == rhs
 
 
+LEMMAS = ["normalized_unit", "two_point_table", "pairing_vs_density",
+          "gaussian_addition"]
+
+
+def test_identity_battery_passes_across_seeds():
+    for seed in range(1, 21):
+        records = verify_identities(seed)
+        assert [r["lemma"] for r in records] == LEMMAS
+        for r in records:
+            assert r["passed"], f"{r['lemma']} at {r['max_error']} ({seed})"
+
+
+def test_identity_battery_catches_a_wrong_integral(monkeypatch):
+    # a doubled integral breaks every per-table identity, while both
+    # sides of the addition identity double alike
+    integrate = integration.integrate_polynomial
+    monkeypatch.setattr(integration, "integrate_polynomial",
+                        lambda u, t, f: integrate(u, t, f).scale(2))
+    records = {r["lemma"]: r for r in verify_identities()}
+    for name in LEMMAS[:3]:
+        assert not records[name]["passed"]
+        assert records[name]["max_error"] > 0
+    assert records["gaussian_addition"]["passed"]
+
+
 def inversion_sign(perm):
     sign = 1
     for i in range(len(perm)):
@@ -276,15 +273,15 @@ def test_alternating_product_is_signed_pairing_sum():
     the determinant-style sum over pairings, written out literally."""
     rng = random.Random(11)
     for n in (1, 2, 3):
-        u = make_universe(n)
-        t, rows = random_table(u, n, rng)
+        u = _battery_universe(n)
+        t, rows = _battery_table(rng, u, n)
         for _ in range(4):
             a = rng.sample(range(n), n)
             b = rng.sample(range(n), n)
             f = GrassmannPolynomial.scalar(Fraction(1))
             for i in range(n):
-                f = f * u.generator(pair_gen(a[i], "-"))
-                f = f * u.generator(pair_gen(b[i], "+"))
+                f = f * u.generator(_battery_pair(a[i], "-"))
+                f = f * u.generator(_battery_pair(b[i], "+"))
             expected = Fraction(0)
             for tau in itertools.permutations(range(n)):
                 prod = Fraction(inversion_sign(tau))
@@ -301,15 +298,15 @@ def test_cancelling_contributions_integrate_to_zero():
     """Two internal pairs reach one external monomial with contributions
     c * 2 and (-2c/3) * 3; the sum is the zero polynomial, not a stored
     zero coefficient, for rational and matrix coefficients."""
-    u = make_universe(2, n_ext=1)
+    u = with_externals(1, _battery_universe(2))
     t = PropagatorTable(u, {
-        (pair_gen(0, "-"), pair_gen(0, "+")): Fraction(2),
-        (pair_gen(1, "-"), pair_gen(1, "+")): Fraction(3)})
+        (_battery_pair(0, "-"), _battery_pair(0, "+")): Fraction(2),
+        (_battery_pair(1, "-"), _battery_pair(1, "+")): Fraction(3)})
     e = u.generator(ext_gen(0))
 
     def pair(k):
-        return e * u.generator(pair_gen(k, "-")) * u.generator(
-            pair_gen(k, "+"))
+        return e * u.generator(_battery_pair(k, "-")) * u.generator(
+            _battery_pair(k, "+"))
 
     for c in (Fraction(5, 7), ImpurityElement.unit(0, 0)):
         f = pair(0).scale(c) + pair(1).scale(-c * Fraction(2, 3))

@@ -1,5 +1,6 @@
 """One-scale coupling maps: exact identities, goldens, linearization."""
 
+import functools
 import json
 import math
 import random
@@ -225,14 +226,22 @@ def test_singular_normalization_raises():
 # -- float kernels against the per-term loop -----------------------------
 
 
-def loop_reference(beta, values, method):
-    """``evaluate`` or ``jacobian`` by ``evaluate_float`` over one float
-    ``power_table``, with the quotient assembled as the exact path does."""
+@functools.cache
+def _loop_parts(beta):
+    """The derivative polynomials and power-table tops of ``beta``,
+    built once per map (``BetaMap`` hashes by identity)."""
     dnum = [[num.derivative(j) for j in range(beta.n)]
             for num in beta.numerators]
     dden = [beta.denominator.derivative(j) for j in range(beta.n)]
     tops = list(map(max, *(p.max_exponents()
                            for p in (beta.denominator, *beta.numerators))))
+    return dnum, dden, tops
+
+
+def loop_reference(beta, values, method):
+    """``evaluate`` or ``jacobian`` by ``evaluate_float`` over one float
+    ``power_table``, with the quotient assembled as the exact path does."""
+    dnum, dden, tops = _loop_parts(beta)
     powers = power_table(values, tops, float)
     den = beta.denominator.evaluate_float(powers)
     if not den:
@@ -298,8 +307,9 @@ def test_building_both_maps_kernels_stays_small():
 
 
 def test_building_both_maps_kernels_and_flow_loops_stays_small():
-    # the flow loop calls the polynomial kernels: a loop that inlined
-    # their sums peaked near 3.75 MB under this bound
+    # the flow loop inlines each polynomial's float lines, so building
+    # it after the kernels compiles graphene's value bodies again:
+    # graphene's ``flow_loop`` alone peaked near 2.0 MB after them
     fresh = [BetaMap.from_json(beta.to_json()) for beta in (G_BETA, K_BETA)]
     tracemalloc.start()
     try:
