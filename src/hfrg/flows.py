@@ -25,6 +25,8 @@ DEDUPE_TOL = 1e-8
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 100
 NEWTON_MAX_HALVINGS = 20
+_SNAP_MAX_DENOMINATOR = 1024
+_SNAP_SLOW_FACTOR = 16
 
 _NUMERIC_ERRORS = (SingularNormalization, ZeroDivisionError, OverflowError)
 
@@ -57,22 +59,28 @@ class FixedPointReport:
     ``eigenvalue_moduli`` is sorted largest first; ``classification``
     is "stable" (all moduli < 1), "unstable" (some modulus > 1), or
     "marginal-mixed" (some modulus within the marginal band of 1).
+    ``certified_exact`` is true when the exact map fixes a rational
+    point whose floats are ``location``.
     """
 
     location: tuple
     residual_norm: float
     eigenvalue_moduli: tuple
     classification: str
+    certified_exact: bool = False
 
 
 class FixedPointResults(list):
     """Deduplicated reports in discovery order; seeds whose Newton run
-    was abandoned (singular linearization, stall, or iteration cap)
-    are kept on the side."""
+    was abandoned are kept on the side, in ``abandoned_seeds``, with
+    why each stopped in ``abandon_reasons``: "non-finite start",
+    "singular jacobian", "stall" or "iteration cap"."""
 
     def __init__(self, reports=(), abandoned=()):
         super().__init__(reports)
-        self.abandoned_seeds = tuple(abandoned)
+        abandoned = tuple(abandoned)
+        self.abandoned_seeds = tuple(seed for seed, _ in abandoned)
+        self.abandon_reasons = tuple(reason for _, reason in abandoned)
 
 
 def iterate_flow(beta, start, max_steps):
@@ -96,7 +104,7 @@ def iterate_flow(beta, start, max_steps):
     return Trajectory(tuple(points), termination)
 
 
-def stability(beta, point):
+def stability(beta, point, certified_exact=False):
     """Classify an equilibrium by the eigenvalue moduli of the exact
     Jacobian evaluated at ``point``."""
     import numpy as np
@@ -111,21 +119,63 @@ def stability(beta, point):
         classification = "stable"
     else:
         classification = "unstable"
-    return FixedPointReport(loc, residual, moduli, classification)
+    return FixedPointReport(loc, residual, moduli, classification,
+                            certified_exact)
 
 
 def _residual_vector(beta, x):
     return [a - b for a, b in zip(beta.evaluate(x), x)]
 
 
+def _snap(beta, x):
+    """The floats of the rational point of denominator at most
+    ``_SNAP_MAX_DENOMINATOR`` nearest ``x``, when the exact map fixes
+    it; otherwise None.
+
+    The point must lie within ``sqrt(NEWTON_TOL)`` of ``x`` in every
+    coordinate (at a double root the residual is about the squared
+    distance) and its floats must meet ``NEWTON_TOL`` themselves.  Small
+    rationals lie that close to most floats, and an exact evaluate of
+    graphene costs more than a whole Newton run, so the float residual
+    turns most false candidates away first.
+    """
+    radius = math.sqrt(NEWTON_TOL)
+    p = [Fraction(v).limit_denominator(_SNAP_MAX_DENOMINATOR) for v in x]
+    if any(abs(pi - v) > radius for pi, v in zip(p, x)):
+        return None
+    location = tuple(map(float, p))
+    try:
+        if not _inf_norm(_residual_vector(beta, location)) <= NEWTON_TOL:
+            return None
+        if beta.evaluate(p) != p:
+            return None
+    except _NUMERIC_ERRORS:
+        return None
+    return location
+
+
 def _newton(beta, seed):
-    """Damped Newton on beta(x) - x; None when the seed is abandoned.
+    """Damped Newton on beta(x) - x.
+
+    Returns ``(location, certified_exact, None)``, or ``(None, False,
+    reason)`` when the seed is abandoned, ``reason`` being one of
+    ``FixedPointResults``' abandon reasons.
 
     Iteration continues while the residual strictly decreases, not
     just until it first dips below ``NEWTON_TOL``: at a marginal
     equilibrium the linearization of beta(x) - x is singular at the
     root, so the tolerance is met a wide puddle away from the actual
-    point and only the extra polishing steps contract onto it.
+    point and only the extra polishing steps contract onto it.  There
+    Newton converges only linearly, halving the distance per step (a
+    double root, as at the kondo origin), and crawls for dozens of
+    steps.  So once the residual is within ``NEWTON_TOL`` and each of
+    the last two accepted steps cut it by less than
+    ``_SNAP_SLOW_FACTOR``, the point is snapped once to nearby small
+    rationals (``_snap``): if the exact map fixes them, they are the
+    location, certified exact.  Quadratic convergence cuts the
+    residual by far more per step, so those seeds never pay for the
+    exact map; a failed snap (an irrational root) leaves the loop as
+    it was.
     """
     import numpy as np
     x = [float(v) for v in seed]
@@ -133,24 +183,28 @@ def _newton(beta, seed):
     try:
         f = _residual_vector(beta, x)
     except _NUMERIC_ERRORS:
-        return None
+        return None, False, "non-finite start"
     if not all(map(math.isfinite, f)):
-        return None
+        return None, False, "non-finite start"
     fnorm = _inf_norm(f)
+    slow_steps = 0
+    snapped = False
+    reason = "iteration cap"
     for _ in range(NEWTON_MAX_ITERS):
         if fnorm == 0.0:
             break
         try:
             jac = np.array(beta.jacobian(x), dtype=float)
         except _NUMERIC_ERRORS:
-            return None
+            return None, False, "singular jacobian"
         try:
             step = np.linalg.solve(jac - np.eye(n), np.array(f))
         except np.linalg.LinAlgError:
             # singular linearization: abandon unless already converged
+            reason = "singular jacobian"
             break
         if not np.all(np.isfinite(step)):
-            return None
+            return None, False, "singular jacobian"
         scale = 1.0
         improved = False
         for _ in range(NEWTON_MAX_HALVINGS + 1):
@@ -161,13 +215,24 @@ def _newton(beta, seed):
                 scale /= 2.0
                 continue
             if all(map(math.isfinite, fc)) and _inf_norm(fc) < fnorm:
-                x, f, fnorm = cand, fc, _inf_norm(fc)
+                fc_norm = _inf_norm(fc)
+                slow = _SNAP_SLOW_FACTOR * fc_norm > fnorm
+                slow_steps = slow_steps + 1 if slow else 0
+                x, f, fnorm = cand, fc, fc_norm
                 improved = True
                 break
             scale /= 2.0
         if not improved:
+            reason = "stall"
             break
-    return tuple(x) if fnorm <= NEWTON_TOL else None
+        if slow_steps >= 2 and fnorm <= NEWTON_TOL and not snapped:
+            snapped = True
+            exact = _snap(beta, x)
+            if exact is not None:
+                return exact, True, None
+    if fnorm <= NEWTON_TOL:
+        return tuple(x), False, None
+    return None, False, reason
 
 
 def find_fixed_points(beta, seeds):
@@ -175,19 +240,19 @@ def find_fixed_points(beta, seeds):
 
     Converged locations closer than the deduplication tolerance to an
     earlier find are dropped; abandoned seeds are recorded on the
-    returned list.
+    returned list, each with why its run stopped.
     """
     reports = []
     abandoned = []
     for seed in seeds:
-        location = _newton(beta, seed)
+        location, exact, reason = _newton(beta, seed)
         if location is None:
-            abandoned.append(tuple(float(v) for v in seed))
+            abandoned.append((tuple(float(v) for v in seed), reason))
             continue
         if any(_inf_norm([a - b for a, b in zip(location, r.location)])
                <= DEDUPE_TOL for r in reports):
             continue
-        reports.append(stability(beta, location))
+        reports.append(stability(beta, location, exact))
     return FixedPointResults(reports, abandoned)
 
 

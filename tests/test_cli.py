@@ -210,11 +210,9 @@ def test_fixed_points_kondo_reports_both_equilibria(tmp_path):
     by_class = {r["classification"]: r for r in obj["fixed_points"]}
     assert set(by_class) == {"marginal-mixed", "stable"}
     origin = by_class["marginal-mixed"]
-    assert max(abs(v) for v in origin["location"]) < 1e-11
-    assert abs(origin["eigenvalue_moduli"][0] - 1.0) < 1e-9
-    star = by_class["stable"]
-    assert max(abs(a - b)
-               for a, b in zip(star["location"], KONDO_STAR)) < 1e-11
+    assert origin["location"] == [0.0, 0.0]
+    assert origin["eigenvalue_moduli"] == [1.0, 0.5]
+    assert by_class["stable"]["location"] == list(KONDO_STAR)
 
 
 def test_fixed_points_accepts_explicit_seeds(tmp_path):

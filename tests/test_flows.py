@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hfrg.cli import DEFAULT_SEEDS
 from hfrg.couplings import CouplingPolynomial
 from hfrg.grassmann import SingularNormalization
 from hfrg.flows import (FixedPointReport, Trajectory, classify_power_counting,
@@ -234,11 +235,14 @@ def test_kondo_grid_finds_both_equilibria():
     assert not reports.abandoned_seeds
     by_l0 = sorted(reports, key=lambda r: r.location[0])
     nontrivial, origin = by_l0
-    assert max(abs(v) for v in origin.location) < 1e-11
+    # the origin is a double root of K(x) - x, snapped and certified
+    assert origin.location == (0.0, 0.0)
+    assert origin.certified_exact
     assert origin.classification == "marginal-mixed"
-    assert origin.eigenvalue_moduli == pytest.approx((1.0, 0.5), abs=1e-9)
-    assert nontrivial.location[0] == pytest.approx(KONDO_L0_STAR, abs=1e-11)
-    assert nontrivial.location[1] == pytest.approx(KONDO_L1_STAR, abs=1e-11)
+    assert origin.eigenvalue_moduli == (1.0, 0.5)
+    # the irrational star keeps its float bits
+    assert nontrivial.location == (KONDO_L0_STAR, KONDO_L1_STAR)
+    assert not nontrivial.certified_exact
     assert nontrivial.classification == "stable"
     for r in reports:
         assert r.residual_norm <= 1e-11
@@ -285,6 +289,7 @@ def test_rootless_map_abandons_all_seeds():
     reports = find_fixed_points(beta, [(0.0,), (3.0,), (-2.0,)])
     assert list(reports) == []
     assert reports.abandoned_seeds == ((0.0,), (3.0,), (-2.0,))
+    assert reports.abandon_reasons == ("singular jacobian", "stall", "stall")
 
 
 def test_singular_linearization_abandons_unconverged_seed():
@@ -293,8 +298,82 @@ def test_singular_linearization_abandons_unconverged_seed():
     # at x = 0.5 the derivative of beta(x) - x vanishes: abandoned;
     # the other seed converges to the fixed point at 1
     assert reports.abandoned_seeds == ((0.5,),)
+    assert reports.abandon_reasons == ("singular jacobian",)
     assert len(reports) == 1
     assert reports[0].location[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_abandoned_starts_and_capped_runs_say_why():
+    # x -> x + x**3 from 1e30: each step only scales x by 2/3, so 100
+    # steps end far above the tolerance; the map at the normalization's
+    # zero or at a non-finite seed is undefined
+    reports = find_fixed_points(toy_map({1: 1, 3: 1}), [(1e30,)])
+    assert reports.abandon_reasons == ("iteration cap",)
+    reports = find_fixed_points(G_BETA, [[-1.0] + [0.0] * 6,
+                                         [math.nan] * 7])
+    assert reports.abandon_reasons == ("non-finite start",) * 2
+
+
+# -- snapping onto exact rational equilibria ------------------------------
+
+
+def test_double_root_at_a_rational_is_reported_exactly():
+    # x -> x**2 + 1/4 fixes 1/2 twice over; Newton only halves the
+    # distance per step, so from 0.9 it stops at 0.5000000113277103
+    # unsnapped
+    beta = toy_map({0: Fraction(1, 4), 2: 1})
+    for seed in [(0.0,), (0.9,), (2.0,)]:
+        (report,) = find_fixed_points(beta, [seed])
+        assert report.location == (0.5,)
+        assert report.certified_exact
+        assert report.residual_norm == 0.0
+
+
+def test_double_root_at_an_irrational_keeps_its_float_bits():
+    # x -> x**4 - 4 x**2 + x + 4 fixes sqrt(2) twice over; the snap's
+    # candidate 1393/985 is not fixed, so Newton goes on as before
+    beta = toy_map({0: 4, 1: 1, 2: -4, 4: 1})
+    expected = {1.0: 1.414213570535832, 2.0: 1.4142135678765335,
+                -1.0: -1.4142135611284772, 1.3: 1.414213556952412}
+    for seed, location in expected.items():
+        (report,) = find_fixed_points(beta, [(seed,)])
+        assert report.location == (location,)
+        assert not report.certified_exact
+
+
+def _count_calls(monkeypatch, name, counted=lambda values: True):
+    """Count the ``BetaMap.<name>`` calls whose point ``counted``
+    accepts."""
+    calls = []
+    method = getattr(BetaMap, name)
+
+    def counting(self, values):
+        values = list(values)
+        if counted(values):
+            calls.append(values)
+        return method(self, values)
+    monkeypatch.setattr(BetaMap, name, counting)
+    return calls
+
+
+def test_kondo_default_seeds_stop_crawling_onto_the_origin(monkeypatch):
+    # without the snap the 25 seeds take 883 Jacobians, most of them
+    # halving the distance to the marginal origin one step at a time
+    calls = _count_calls(monkeypatch, "jacobian")
+    reports = find_fixed_points(K_BETA, DEFAULT_SEEDS["kondo"])
+    assert len(reports) == 2
+    assert len(calls) <= 400
+
+
+def test_graphene_default_seeds_make_no_exact_evaluation(monkeypatch):
+    # an exact graphene evaluate costs more than a whole Newton run;
+    # quadratically converging seeds never try the snap
+    calls = _count_calls(
+        monkeypatch, "evaluate",
+        lambda values: not any(isinstance(v, float) for v in values))
+    reports = find_fixed_points(G_BETA, DEFAULT_SEEDS["graphene"])
+    assert len(reports) == 2
+    assert calls == []
 
 
 # -- power counting -------------------------------------------------------
