@@ -132,12 +132,12 @@ def _snap(beta, x):
     ``_SNAP_MAX_DENOMINATOR`` nearest ``x``, when the exact map fixes
     it; otherwise None.
 
-    The point must lie within ``sqrt(NEWTON_TOL)`` of ``x`` in every
-    coordinate (at a double root the residual is about the squared
-    distance) and its floats must meet ``NEWTON_TOL`` themselves.  Small
-    rationals lie that close to most floats, and an exact evaluate of
-    graphene costs more than a whole Newton run, so the float residual
-    turns most false candidates away first.
+    ``x`` is where a linearly converging Newton run is headed, its
+    extrapolated limit.  The point must lie within ``sqrt(NEWTON_TOL)``
+    of ``x`` in every coordinate and its floats must meet ``NEWTON_TOL``
+    themselves.  Small rationals lie that close to most floats, and an
+    exact evaluate of graphene costs more than a whole Newton run, so
+    the float residual turns most false candidates away first.
     """
     radius = math.sqrt(NEWTON_TOL)
     p = [Fraction(v).limit_denominator(_SNAP_MAX_DENOMINATOR) for v in x]
@@ -166,20 +166,25 @@ def _newton(beta, seed):
     equilibrium the linearization of beta(x) - x is singular at the
     root, so the tolerance is met a wide puddle away from the actual
     point and only the extra polishing steps contract onto it.  There
-    Newton converges only linearly, halving the distance per step (a
-    double root, as at the kondo origin), and crawls for dozens of
-    steps.  So once the residual is within ``NEWTON_TOL`` and each of
-    the last two accepted steps cut it by less than
-    ``_SNAP_SLOW_FACTOR``, the point is snapped once to nearby small
-    rationals (``_snap``): if the exact map fixes them, they are the
-    location, certified exact.  Quadratic convergence cuts the
-    residual by far more per step, so those seeds never pay for the
-    exact map; a failed snap (an irrational root) leaves the loop as
-    it was.
+    Newton converges only linearly (at a root of multiplicity m each
+    step keeps (m - 1) / m of the distance: a half at the double root
+    of the kondo origin), and crawls for dozens of steps.
+
+    Such a crawl is geometric, so its limit can be extrapolated long
+    before the iterates reach it.  After each accepted step that cuts
+    the residual by less than ``_SNAP_SLOW_FACTOR``, the ratio r of
+    the last two step lengths estimates the rate, and the step d just
+    taken extrapolates the tail, x + d r / (1 - r).  Once two
+    successive extrapolations agree within ``sqrt(NEWTON_TOL)``, the
+    extrapolation is snapped to nearby small rationals (``_snap``): if
+    the exact map fixes them, they are the location, certified exact.
+    Quadratic convergence cuts the residual by far more per step, so
+    those seeds never pay for a snap; the iterates themselves never
+    depend on the extrapolation, so a run that is not certified ends
+    where plain damped Newton ends.
     """
     import numpy as np
     x = [float(v) for v in seed]
-    n = len(x)
     try:
         f = _residual_vector(beta, x)
     except _NUMERIC_ERRORS:
@@ -187,8 +192,9 @@ def _newton(beta, seed):
     if not all(map(math.isfinite, f)):
         return None, False, "non-finite start"
     fnorm = _inf_norm(f)
-    slow_steps = 0
-    snapped = False
+    eye = np.eye(len(x))
+    radius = math.sqrt(NEWTON_TOL)
+    last_length = guess = None
     reason = "iteration cap"
     for _ in range(NEWTON_MAX_ITERS):
         if fnorm == 0.0:
@@ -198,12 +204,12 @@ def _newton(beta, seed):
         except _NUMERIC_ERRORS:
             return None, False, "singular jacobian"
         try:
-            step = np.linalg.solve(jac - np.eye(n), np.array(f))
+            step = np.linalg.solve(jac - eye, f).tolist()
         except np.linalg.LinAlgError:
             # singular linearization: abandon unless already converged
             reason = "singular jacobian"
             break
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step)):
             return None, False, "singular jacobian"
         scale = 1.0
         improved = False
@@ -217,7 +223,7 @@ def _newton(beta, seed):
             if all(map(math.isfinite, fc)) and _inf_norm(fc) < fnorm:
                 fc_norm = _inf_norm(fc)
                 slow = _SNAP_SLOW_FACTOR * fc_norm > fnorm
-                slow_steps = slow_steps + 1 if slow else 0
+                moved = [c - xi for c, xi in zip(cand, x)]
                 x, f, fnorm = cand, fc, fc_norm
                 improved = True
                 break
@@ -225,9 +231,17 @@ def _newton(beta, seed):
         if not improved:
             reason = "stall"
             break
-        if slow_steps >= 2 and fnorm <= NEWTON_TOL and not snapped:
-            snapped = True
-            exact = _snap(beta, x)
+        length = _inf_norm(moved)
+        rate = length / last_length if last_length else 1.0
+        last_length = length
+        if not (slow and rate < 1.0):
+            guess = None
+            continue
+        tail = rate / (1.0 - rate)     # r + r**2 + ... steps still to come
+        prev, guess = guess, [xi + di * tail for xi, di in zip(x, moved)]
+        if prev is not None and _inf_norm(
+                [a - b for a, b in zip(guess, prev)]) <= radius:
+            exact = _snap(beta, guess)
             if exact is not None:
                 return exact, True, None
     if fnorm <= NEWTON_TOL:

@@ -1,6 +1,7 @@
 """One-scale coupling maps: exact identities, goldens, linearization."""
 
 import functools
+import gc
 import json
 import math
 import random
@@ -343,13 +344,21 @@ def test_graphene_step_multiplies_few_term_pairs(monkeypatch):
 
 def test_graphene_step_memory_stays_small_and_is_given_back():
     # peaked near 1.76 MB (1.67 MiB) before the shared coefficient
-    # products, ~1.59 MB after; a memo that outlived its product would
-    # raise the peak of a later step and stay behind after it
+    # products, ~1.64 MB after; a memo that outlived its product would
+    # raise the peak of a later step and stay behind after it.  A full
+    # collection empties the interpreter's free lists: without one just
+    # before, the step reuses blocks allocated before tracing began
+    # (peak ~1.59 MB), and without one after, the blocks the free lists
+    # keep count as kept (~53 KB after a full collection, ~3 KB
+    # otherwise), so both readings hung on the collections that earlier
+    # tests happened to trigger
+    gc.collect()
     tracemalloc.start()
     try:
         beta = rg_step(GRAPHENE)
         peak = tracemalloc.get_traced_memory()[1]
         del beta
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
