@@ -8,19 +8,19 @@ traces are the independent numeric side: they share no code with the
 symbolic integration layer, and the ``wick_rule`` lemma holds that
 layer's Gaussian integral (``integrate_polynomial``) to them.
 
-The fixtures are built once per object they depend on.  A
-``ModeMatrix`` keeps a read-only copy of ``mu`` and, from first use,
-its Fock annihilators, creators and Hamiltonian, that Hamiltonian's
-spectrum (one ``eigh`` for every beta), its eigenbasis, its Matsubara
-kernel per (beta, cutoff) and its Fourier weights per beta.  A
-function given a raw array builds a fresh ``ModeMatrix`` and keeps
-nothing, so a caller that reuses one mode matrix passes the
-``ModeMatrix`` itself.
+The fixtures are built once per object they depend on: the Fock
+annihilators and creators once per mode count, and for a
+``ModeMatrix``, which keeps a read-only copy of ``mu``, from first use
+its Fock Hamiltonian, that Hamiltonian's spectrum (one ``eigh`` for
+every beta), its eigenbasis, its Matsubara kernel per (beta, cutoff)
+and its Fourier weights per beta.  A function given a raw array builds
+a fresh ``ModeMatrix`` and keeps nothing, so a caller that reuses one
+mode matrix passes the ``ModeMatrix`` itself.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -65,35 +65,12 @@ class ModeMatrix:
         return f"ModeMatrix({self.mu.tolist()!r})"
 
     @cached_property
-    def annihilators(self):
-        """The Fock matrices of a_1 .. a_n, built with the usual
-        sign-string tensor factors so that the anticommutation
-        relations hold exactly; ``ValueError`` if they do not."""
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        flip = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        eye2 = np.eye(2, dtype=complex)
-        ops = []
-        for i in range(self.n):
-            op = np.eye(1, dtype=complex)
-            for j in range(self.n):
-                op = np.kron(op, flip if j < i else lower if j == i else eye2)
-            ops.append(op)
-        if _car_error(ops) > CAR_TOL:
-            raise ValueError("the operators break the canonical "
-                             "anticommutation relations")
-        return _frozen(*ops)
-
-    @cached_property
-    def creators(self):
-        """The Fock matrices of adag_1 .. adag_n."""
-        return _frozen(*(a.conj().T for a in self.annihilators))
-
-    @cached_property
     def hamiltonian(self):
         """The Fock matrix of sum(mu[i, j] * adag_i * a_j)."""
+        annihilators, creators = _operators(self.n)
         h = np.zeros((1 << self.n,) * 2, dtype=complex)
-        for i, c in enumerate(self.creators):
-            for j, a in enumerate(self.annihilators):
+        for i, c in enumerate(creators):
+            for j, a in enumerate(annihilators):
                 h += self.mu[i, j] * (c @ a)
         return _frozen(h)[0]
 
@@ -164,6 +141,27 @@ def _frozen(*arrays):
     return arrays
 
 
+@cache
+def _operators(n):
+    """(annihilators, creators): the read-only Fock matrices of
+    a_1 .. a_n and adag_1 .. adag_n, built once per mode count with the
+    usual sign-string tensor factors so that the anticommutation
+    relations hold exactly; ``ValueError`` if they do not."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    flip = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    eye2 = np.eye(2, dtype=complex)
+    ops = []
+    for i in range(n):
+        op = np.eye(1, dtype=complex)
+        for j in range(n):
+            op = np.kron(op, flip if j < i else lower if j == i else eye2)
+        ops.append(op)
+    if _car_error(ops) > CAR_TOL:
+        raise ValueError("the operators break the canonical "
+                         "anticommutation relations")
+    return _frozen(*ops), _frozen(*(a.conj().T for a in ops))
+
+
 def _as_mode(mu):
     return mu if isinstance(mu, ModeMatrix) else ModeMatrix(mu)
 
@@ -211,22 +209,16 @@ def thermal_two_point(mu, beta, t, tbar):
     """
     mode = _as_mode(mu)
     _check_beta(beta, t, tbar)
-    n = mode.n
-    entries = _two_point_entries(mode, beta, t, tbar,
-                                 [(i, j) for i in range(n) for j in range(n)])
-    return np.array(entries, dtype=complex).reshape(n, n)
-
-
-def _two_point_entries(mode, beta, t, tbar, pairs):
-    """Entries [i, j] of ``thermal_two_point`` for the (i, j) of
-    ``pairs``, one trace each over the decays of the ordered time pair;
-    the times must already lie in [0, beta)."""
-    a, c = mode.annihilators, mode.creators
+    annihilators, creators = _operators(mode.n)
     if t >= tbar:
         chain = mode.chain_decays([t, tbar], beta)
-        return [_chain_trace(chain, [a[i], c[j]]) for i, j in pairs]
-    chain = mode.chain_decays([tbar, t], beta)
-    return [-_chain_trace(chain, [c[j], a[i]]) for i, j in pairs]
+        entries = [[_chain_trace(chain, [a, c]) for c in creators]
+                   for a in annihilators]
+    else:
+        chain = mode.chain_decays([tbar, t], beta)
+        entries = [[-_chain_trace(chain, [c, a]) for c in creators]
+                   for a in annihilators]
+    return np.array(entries, dtype=complex)
 
 
 def closed_form_two_point(mu, beta, t, tbar):
@@ -315,9 +307,10 @@ def time_ordered_average(mu, beta, factors):
     order = sorted(range(len(factors)),
                    key=lambda k: _ordering_key(factors[k]))
     sign = canonicalize_bits(order)[1]
+    annihilators, creators = _operators(mode.n)
     times = [factors[k][0] for k in order]
-    mats = [mode.annihilators[factors[k][2]] if factors[k][1] == "-"
-            else mode.creators[factors[k][2]] for k in order]
+    mats = [(annihilators if factors[k][1] == "-" else creators)
+            [factors[k][2]] for k in order]
     return sign * _chain_trace(mode.chain_decays(times, beta), mats)
 
 
@@ -330,30 +323,27 @@ def wick_check(mu, beta, n, times, indices):
     average of T(prod a^-_{j_i}(t_i) a^+_{jbar_i}(tbar_i)) against the
     engine's Gaussian integral (``integrate_polynomial``) of the word
     psi-_1 psi+_1 ... psi-_n psi+_n, whose covariance entry
-    (psi-_a, psi+_b) is the dense two-point value
-    ``thermal_two_point(mu, beta, t_a, tbar_b)[j_a, jbar_b]``.
+    (psi-_a, psi+_b) is the two-factor time-ordered average of
+    a^-_{j_a}(t_a) a^+_{jbar_b}(tbar_b).
     """
     mode = _as_mode(mu)
     _check_beta(beta)
     if not 1 <= n <= 3:
         raise ValueError("n must be in 1..3")
-    minus_t, plus_t = list(times[:n]), list(times[n:])
-    minus_j, plus_j = list(indices[:n]), list(indices[n:])
-    if len(plus_t) != n or len(plus_j) != n:
+    if len(times) != 2 * n or len(indices) != 2 * n:
         raise ValueError("need n times and n indices per species")
-    factors = []
-    for i in range(n):
-        factors.append((minus_t[i], "-", minus_j[i]))
-        factors.append((plus_t[i], "+", plus_j[i]))
-    lhs = time_ordered_average(mode, beta, factors)
+    minus_factors = [(t, "-", j) for t, j in zip(times[:n], indices[:n])]
+    plus_factors = [(t, "+", j) for t, j in zip(times[n:], indices[n:])]
+    lhs = time_ordered_average(mode, beta, [
+        f for pair in zip(minus_factors, plus_factors) for f in pair])
     # species "i" (minus) sorts just before "i+" (plus), so the
     # universe's bit order is the word psi-_1 psi+_1 ... psi-_n psi+_n
     # itself, and the word is the full mask with coefficient 1
     minus = [GeneratorId("int", 0, f"{i}", "up", "-") for i in range(n)]
     plus = [GeneratorId("int", 0, f"{i}+", "up", "+") for i in range(n)]
     universe = Universe(minus + plus)
-    entries = {(minus[a], plus[b]): _two_point_entries(
-        mode, beta, minus_t[a], plus_t[b], [(minus_j[a], plus_j[b])])[0]
+    entries = {(minus[a], plus[b]): time_ordered_average(
+        mode, beta, [minus_factors[a], plus_factors[b]])
         for a in range(n) for b in range(n)}
     word = GrassmannPolynomial({(1 << 2 * n) - 1: 1})
     rhs = complex(integrate_polynomial(
@@ -379,8 +369,7 @@ def verify_lemmas(seed=20260817):
     records = []
 
     # canonical anticommutation relations of the constructed operators
-    err = max(_car_error(ModeMatrix(np.eye(n)).annihilators)
-              for n in range(1, MAX_MODES + 1))
+    err = max(_car_error(_operators(n)[0]) for n in range(1, MAX_MODES + 1))
     records.append(lemma_record("anticommutation", CAR_TOL, err))
 
     # dense traces against the eigenbasis closed form
@@ -425,11 +414,12 @@ def verify_lemmas(seed=20260817):
     err = 0.0
     for n in (1, 2):
         mode = _random_mode(rng, n, scale=0.1)
+        annihilators, creators = _operators(n)
         for beta in (1.0, 5.0):
             chain = mode.chain_decays([0.0, 0.0], beta)
             anti = np.array([[
                 _chain_trace(chain, [a, c]) + _chain_trace(chain, [c, a])
-                for c in mode.creators] for a in mode.annihilators])
+                for c in creators] for a in annihilators])
             err = max(err, float(np.max(np.abs(anti - np.eye(n)))))
             jump = matsubara_two_point(mode, beta, 1e-3, 10 ** 4) \
                 - matsubara_two_point(mode, beta, -1e-3, 10 ** 4)

@@ -281,7 +281,13 @@ def _battery_universe(n_pairs, children=(0,)):
     return Universe(gens)
 
 
-def _battery_table(rng, universe, n_pairs, child=0):
+def _battery_entries(rows, child=0):
+    """Covariance entries {(minus a, plus b) of box ``child``: rows[a][b]}."""
+    return {(_battery_pair(a, "-", child), _battery_pair(b, "+", child)): v
+            for a, row in enumerate(rows) for b, v in enumerate(row)}
+
+
+def _battery_table(rng, universe, n_pairs):
     while True:
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for _ in range(n_pairs)] for _ in range(n_pairs)]
@@ -289,10 +295,7 @@ def _battery_table(rng, universe, n_pairs, child=0):
             _invert_exact([row[:] for row in rows])
         except SingularPropagator:
             continue
-        entries = {(_battery_pair(a, "-", child),
-                    _battery_pair(b, "+", child)): rows[a][b]
-                   for a in range(n_pairs) for b in range(n_pairs)}
-        return PropagatorTable(universe, entries), rows
+        return PropagatorTable(universe, _battery_entries(rows)), rows
 
 
 def verify_identities(seed=20260817):
@@ -338,18 +341,10 @@ def verify_identities(seed=20260817):
     for _ in range(5):
         t1, rows1 = _battery_table(rng, u, n_pairs)
         t2, rows2 = _battery_table(rng, u, n_pairs)
-        sum_entries = {}
-        both_entries = {}
-        for a in range(n_pairs):
-            for b in range(n_pairs):
-                key = (_battery_pair(a, "-"), _battery_pair(b, "+"))
-                sum_entries[key] = rows1[a][b] + rows2[a][b]
-                both_entries[(_battery_pair(a, "-", 0),
-                              _battery_pair(b, "+", 0))] = rows1[a][b]
-                both_entries[(_battery_pair(a, "-", 1),
-                              _battery_pair(b, "+", 1))] = rows2[a][b]
-        t_sum = PropagatorTable(u, sum_entries)
-        t_both = PropagatorTable(u2, both_entries)
+        t_sum = PropagatorTable(u, _battery_entries(
+            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rows1, rows2)]))
+        t_both = PropagatorTable(u2, {**_battery_entries(rows1, 0),
+                                      **_battery_entries(rows2, 1)})
         mask = rng.randrange(1, 1 << u.n)
         f = GrassmannPolynomial({mask: Fraction(1)})
         lhs = integrate_polynomial(u, t_sum, f)

@@ -24,7 +24,8 @@ from hfrg.flows import (classify_power_counting, find_fixed_points,
 from hfrg.fock import (_random_mode, closed_form_two_point,
                        matsubara_two_point, thermal_two_point, wick_check)
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial, bits_of
-from hfrg.integration import (PropagatorTable, _battery_pair, _battery_table,
+from hfrg.integration import (PropagatorTable, _battery_entries,
+                              _battery_pair, _battery_table,
                               _battery_universe, berezin_reference_integral,
                               integrate_polynomial)
 from hfrg.models import graphene_model, kondo_model
@@ -304,18 +305,10 @@ def test_criterion_6_exact_integral_battery():
     for _ in range(50):
         t1, rows1 = _battery_table(rng, u, n_pairs)
         t2, rows2 = _battery_table(rng, u, n_pairs)
-        sum_entries = {}
-        both_entries = {}
-        for a in range(n_pairs):
-            for b in range(n_pairs):
-                key = (_battery_pair(a, "-"), _battery_pair(b, "+"))
-                sum_entries[key] = rows1[a][b] + rows2[a][b]
-                both_entries[(_battery_pair(a, "-", 0),
-                              _battery_pair(b, "+", 0))] = rows1[a][b]
-                both_entries[(_battery_pair(a, "-", 1),
-                              _battery_pair(b, "+", 1))] = rows2[a][b]
-        t_sum = PropagatorTable(u, sum_entries)
-        t_both = PropagatorTable(u2, both_entries)
+        t_sum = PropagatorTable(u, _battery_entries(
+            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rows1, rows2)]))
+        t_both = PropagatorTable(u2, {**_battery_entries(rows1, 0),
+                                      **_battery_entries(rows2, 1)})
         mask = rng.randrange(1, 1 << u.n)
         f = GrassmannPolynomial({mask: Fraction(1)})
         doubled = GrassmannPolynomial.scalar(Fraction(1))

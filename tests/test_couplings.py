@@ -94,6 +94,10 @@ def test_power_and_structure():
     c = CouplingPolynomial.constant(2, Fraction(3, 7))
     assert c.is_constant() and c.constant_coefficient() == Fraction(3, 7)
     assert (p / Fraction(2)) * 2 == p
+    assert p / (2 * c) == p * Fraction(7, 6)
+    # x + 1 has a non-zero constant coefficient, so only the guard raises
+    with pytest.raises(ZeroDivisionError, match="only by constants"):
+        p / (x + 1)
 
 
 @pytest.mark.parametrize("model", [graphene_model, kondo_model])

@@ -431,6 +431,9 @@ def test_power_counting_classes():
         (Fraction(0), "marginal")
     assert classify_power_counting(2, Fraction(1, 2), 4) == \
         (Fraction(-1), "irrelevant")
+    # replication 1 is 2**0
+    assert classify_power_counting(1, Fraction(1, 2), 2) == \
+        (Fraction(-1), "irrelevant")
 
 
 def test_power_counting_validation():

@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from hfrg import fock
 from hfrg.fock import (
+    MAX_MODES,
     ModeMatrix,
+    _operators,
     _random_mode,
     closed_form_two_point,
     fourier_two_point,
@@ -56,19 +59,53 @@ def test_equal_time_ordering_puts_annihilator_left():
 
 
 def test_anticommutators_of_constructed_operators():
-    rng = np.random.default_rng(3)
     for n in range(1, 5):
-        ops = _random_mode(rng, n)
+        annihilators, creators = _operators(n)
         eye = np.eye(1 << n)
         for i in range(n):
             for j in range(n):
-                mixed = (ops.annihilators[i] @ ops.creators[j]
-                         + ops.creators[j] @ ops.annihilators[i])
+                mixed = (annihilators[i] @ creators[j]
+                         + creators[j] @ annihilators[i])
                 target = eye if i == j else 0.0
                 assert np.max(np.abs(mixed - target)) <= 1e-13
-                same = (ops.annihilators[i] @ ops.annihilators[j]
-                        + ops.annihilators[j] @ ops.annihilators[i])
+                same = (annihilators[i] @ annihilators[j]
+                        + annihilators[j] @ annihilators[i])
                 assert np.max(np.abs(same)) <= 1e-13
+
+
+def test_operators_are_built_once_per_mode_count():
+    for n in range(1, MAX_MODES + 1):
+        ops = _operators(n)
+        assert _operators(n) is ops
+        for op in ops[0] + ops[1]:
+            assert op.shape == (1 << n, 1 << n)
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+
+
+def test_operators_raise_when_the_relations_break(monkeypatch):
+    _operators.cache_clear()
+    monkeypatch.setattr(fock, "_car_error", lambda annihilators: 1.0)
+    try:
+        with pytest.raises(ValueError, match="anticommutation"):
+            _operators(2)
+    finally:
+        _operators.cache_clear()
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_two_factor_average_is_the_two_point_entry(modes):
+    rng = np.random.default_rng(60 + modes)
+    for beta in (1.0, 5.0):
+        mode = _random_mode(rng, modes)
+        early, late = sorted(rng.uniform(0, beta, size=2))
+        for t, tbar in ((late, early), (early, late), (early, early)):
+            dense = thermal_two_point(mode, beta, t, tbar)
+            for i in range(modes):
+                for j in range(modes):
+                    assert time_ordered_average(
+                        mode, beta, [(t, "-", i), (tbar, "+", j)]) \
+                        == dense[i, j]
 
 
 def test_quadratic_hamiltonian_is_hermitian_with_mode_spectrum():
@@ -199,8 +236,11 @@ def test_mode_matrix_validation():
         ModeMatrix([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         ModeMatrix(np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        ModeMatrix(np.zeros((2, 3)))
+    # a non-square matrix, and a 3-d array with equal leading sizes
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="must be square"):
+            ModeMatrix(bad)
+    assert ModeMatrix(0.5).mu.tolist() == [[0.5]]
 
 
 def test_mode_matrix_keeps_a_read_only_copy():

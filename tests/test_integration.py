@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st
 from hfrg import integration
 from hfrg.grassmann import GeneratorId, GrassmannPolynomial
 from hfrg.integration import (PropagatorTable, SingularPropagator, Universe,
-                              _battery_pair, _battery_table,
+                              _battery_entries, _battery_pair, _battery_table,
                               _battery_universe, _invert_exact,
                               berezin_reference_integral,
                               integrate_polynomial, row_reduce,
@@ -179,6 +179,34 @@ def test_table_validation():
     # an explicit block merging the two children allows the pairing
     PropagatorTable(u2, {(_battery_pair(0, "-", 0), _battery_pair(0, "+", 1)):
                          Fraction(1)}, blocks=[{0, 1}])
+    ext_minus = GeneratorId("ext", 0, "e0", "up", "-")
+    u3 = Universe([ext_minus, ext_gen(0), *u.gens])
+    for pair in ((ext_minus, _battery_pair(0, "+")),
+                 (_battery_pair(0, "-"), ext_gen(0))):
+        with pytest.raises(ValueError, match="internal"):
+            PropagatorTable(u3, {pair: Fraction(1)})
+
+
+def test_universe_size_limit():
+    gens = [GeneratorId("int", 0, f"s{k}", "up", conj)
+            for k in range(37) for conj in "+-"]
+    assert Universe(gens[:72]).n == 72
+    with pytest.raises(ValueError, match="too large"):
+        Universe(gens[:73])
+
+
+@pytest.mark.parametrize("n_pairs", [8, 9])
+def test_oracle_density_size_limit(n_pairs):
+    # a diagonal covariance keeps the 8-pair density at 2**8 terms
+    u = _battery_universe(n_pairs)
+    rows = [[Fraction(a == b) for b in range(n_pairs)]
+            for a in range(n_pairs)]
+    t = PropagatorTable(u, _battery_entries(rows))
+    if n_pairs == 8:
+        assert len(t.gaussian_density[0].terms) == 256
+    else:
+        with pytest.raises(ValueError, match="16 internal"):
+            t.gaussian_density
 
 
 def test_gaussian_addition_property():
@@ -191,18 +219,10 @@ def test_gaussian_addition_property():
     for _ in range(10):
         t1, rows1 = _battery_table(rng, u, n_pairs)
         t2, rows2 = _battery_table(rng, u, n_pairs)
-        sum_entries = {}
-        both_entries = {}
-        for a in range(n_pairs):
-            for b in range(n_pairs):
-                key = (_battery_pair(a, "-"), _battery_pair(b, "+"))
-                sum_entries[key] = rows1[a][b] + rows2[a][b]
-                both_entries[(_battery_pair(a, "-", 0),
-                              _battery_pair(b, "+", 0))] = rows1[a][b]
-                both_entries[(_battery_pair(a, "-", 1),
-                              _battery_pair(b, "+", 1))] = rows2[a][b]
-        t_sum = PropagatorTable(u, sum_entries)
-        t_both = PropagatorTable(u2, both_entries)
+        t_sum = PropagatorTable(u, _battery_entries(
+            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rows1, rows2)]))
+        t_both = PropagatorTable(u2, {**_battery_entries(rows1, 0),
+                                      **_battery_entries(rows2, 1)})
 
         f = random_poly(u, rng)
         lhs = integrate_polynomial(u, t_sum, f)
