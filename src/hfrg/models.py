@@ -281,7 +281,8 @@ def _coeff_token(c):
         return str(c)
     if isinstance(c, ImpurityElement):
         # Pauli coordinates, each as re+imi&0+0ir2 (x + y*sqrt(2) over
-        # Gaussian rationals); only the S2 coordinate is imaginary
+        # Gaussian rationals): the golden token format, which stays when
+        # that scalar tower is gone; only the S2 coordinate is imaginary
         c0, c1, y, c3 = c.pauli_components()
         return (f"{c0}+0i&0+0ir2;{c1}+0i&0+0ir2;"
                 f"0+{y}i&0+0ir2;{c3}+0i&0+0ir2")

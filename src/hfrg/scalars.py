@@ -5,15 +5,16 @@
   with E_ab E_cd = delta_bc E_ad.  R is Q for the operator basis and
   Q[l], the coupling polynomials, inside the RG step, so each entry is
   a ``Fraction`` or a ``CouplingPolynomial``.
-* ``GaussianRational``: a + b*i with Fraction components.
-* ``RootTwo``: x + y*sqrt(2) with GaussianRational components.
+* ``GaussianRational`` (a + b*i over Fraction) and ``RootTwo``
+  (x + y*sqrt(2) over GaussianRational): only their constructors and
+  products are left, because ``bench/spans.py`` traces the two
+  ``__mul__``; no path of the package uses them.
 
-The models use only ``ImpurityElement``; the other two stay importable
-for code outside the package that names them.  Plain ``int`` and
-``fractions.Fraction`` interoperate with all three from either side, so
-polynomial code can stay ring-agnostic, and an element equal to a
-Fraction hashes like it.  Coupling polynomials are central scalars of
-``ImpurityElement`` as well.
+The models use only ``ImpurityElement``.  Plain ``int`` and
+``fractions.Fraction`` interoperate with it from either side, so
+polynomial code can stay ring-agnostic, and a scalar element hashes
+like the Fraction it equals.  Coupling polynomials are central scalars
+of ``ImpurityElement`` as well.
 """
 
 from __future__ import annotations
@@ -61,23 +62,6 @@ class GaussianRational:
             return GaussianRational(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = GaussianRational._lift(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = GaussianRational._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = GaussianRational._lift(other)
         if other is None:
@@ -94,46 +78,10 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational._lift(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        other = GaussianRational._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        other = GaussianRational._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
 
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-I_UNIT = GaussianRational(0, 1)
 _GR_TWO = GaussianRational(2)
 
 
@@ -155,36 +103,6 @@ class RootTwo:
         f = _as_fraction(x)
         return None if f is None else cls(GaussianRational(f))
 
-    @classmethod
-    def half_power_of_two(cls, k):
-        """2**(k/2) for integer k, e.g. k=-1 gives sqrt(2)/2."""
-        if k % 2 == 0:
-            return cls(GaussianRational(Fraction(2) ** (k // 2)))
-        return cls(0, GaussianRational(Fraction(2) ** ((k - 1) // 2)))
-
-    def __add__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        return RootTwo(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RootTwo(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        return RootTwo(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = RootTwo._lift(other)
         if other is None:
@@ -200,49 +118,6 @@ class RootTwo:
             self.a * other.a + _GR_TWO * (self.b * other.b),
             self.a * other.b + self.b * other.a,
         )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        # multiply by the sqrt(2)-conjugate, then divide by the norm a^2 - 2 b^2
-        n = other.a * other.a - 2 * (other.b * other.b)
-        if not n:
-            raise ZeroDivisionError("division by zero RootTwo")
-        return RootTwo((self.a * other.a - 2 * (self.b * other.b)) / n,
-                       (self.b * other.a - self.a * other.b) / n)
-
-    def __rtruediv__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = RootTwo._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def is_rational(self):
-        return not self.b and not self.a.im
-
-    def rational_part(self):
-        return self.a.re
-
-    def __complex__(self):
-        return complex(self.a) + complex(self.b) * (2.0 ** 0.5)
-
-    def __repr__(self):
-        return f"RootTwo({self.a!r}, {self.b!r})"
 
 
 _new = object.__new__

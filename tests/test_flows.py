@@ -602,6 +602,16 @@ def test_grid_validation():
                           fixed_values=[0.0] * 3)
 
 
+@pytest.mark.parametrize("axes", [(0, 0), (-1, 1), (0, G_BETA.n),
+                                  (G_BETA.n, 0)],
+                         ids=["equal", "negative", "j-past-end", "i-past-end"])
+def test_grid_rejects_axes_that_are_not_distinct_couplings(axes):
+    # without the guard a negative index silently picks a coupling
+    # counted from the end
+    with pytest.raises(ValueError, match="axes must be distinct"):
+        vector_field_grid(G_BETA, *axes, ((0.0, 1.0), (0.0, 1.0)), 2)
+
+
 @pytest.mark.parametrize("window", [
     ((-8e307, 8e307), (0.0, 1.0)),      # finite ends, the width overflows
     ((0.0, 1.0), (-math.inf, 0.0)),

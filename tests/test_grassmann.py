@@ -220,3 +220,29 @@ def test_product_matches_the_per_pair_loop():
             assert ({m: _type_signature(c) for m, c in got.items()}
                     == {m: _type_signature(c) for m, c in expected.items()})
     assert matrices * others != others * matrices
+
+
+def test_coefficients_are_shared_only_between_many_term_factors(
+        monkeypatch):
+    """Equal coefficients of two many-term factors are hashed once each
+    and multiplied once per distinct pair; a one-term factor hashes
+    nothing and multiplies once per term pair."""
+    def poly(*masks):
+        # each coefficient its own object, all of the same value
+        return GrassmannPolynomial(
+            {m: CouplingPolynomial.constant(2, 3) for m in masks})
+
+    two, other_two, one = (poly(0b0001, 0b0010), poly(0b0100, 0b1000),
+                           poly(0b0001))
+    calls = {"__mul__": 0, "__hash__": 0}
+    for name in calls:
+        def counting(*args, _name=name,
+                     _method=getattr(CouplingPolynomial, name)):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(CouplingPolynomial, name, counting)
+    two * other_two
+    assert calls == {"__mul__": 1, "__hash__": 4}
+    calls.update(dict.fromkeys(calls, 0))
+    one * other_two
+    assert calls == {"__mul__": 2, "__hash__": 0}

@@ -2,65 +2,21 @@
 
 The impurity ring M2(Q) is checked against a naive nested-list 2x2
 product over Fractions and against the Pauli multiplication table.
+Equality and hashing are checked across ``Fraction``, ``int``,
+``ImpurityElement`` and ``CouplingPolynomial``.  Of the
+``GaussianRational``/``RootTwo`` tower only the two products that
+``bench/spans.py`` traces are left, checked against a table of the
+basis 1, i, sqrt(2), i*sqrt(2).
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from hfrg.scalars import GaussianRational, ImpurityElement, I_UNIT, RootTwo
+from hfrg.couplings import CouplingPolynomial
+from hfrg.scalars import GaussianRational, ImpurityElement, RootTwo
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=7)
-
-
-def gaussians(draw=None):
-    return st.builds(GaussianRational, fractions_st, fractions_st)
-
-
-def root_twos():
-    return st.builds(RootTwo, gaussians(), gaussians())
-
-
-# ---------------------------------------------------------------- tests
-
-
-def test_gaussian_field_basics():
-    x = GaussianRational(Fraction(3, 4), Fraction(-2, 5))
-    y = GaussianRational(Fraction(1, 3), Fraction(7, 2))
-    assert (x / y) * y == x
-    assert x * x.conjugate() == GaussianRational(
-        Fraction(3, 4) ** 2 + Fraction(2, 5) ** 2)
-    assert I_UNIT * I_UNIT == -1
-
-
-@given(gaussians(), gaussians(), gaussians())
-def test_gaussian_ring_axioms(x, y, z):
-    assert (x + y) * z == x * z + y * z
-    assert x * (y * z) == (x * y) * z
-    assert x * y == y * x
-
-
-@given(root_twos(), root_twos(), root_twos())
-def test_root_two_ring_axioms(x, y, z):
-    assert (x + y) * z == x * z + y * z
-    assert x * (y * z) == (x * y) * z
-    assert x * y == y * x
-
-
-@given(root_twos(), root_twos())
-def test_root_two_division(x, y):
-    if y:
-        assert (x / y) * y == x
-
-
-def test_root_two_half_powers():
-    r = RootTwo.half_power_of_two
-    assert r(1) * r(1) == 2
-    assert r(-1) * r(-1) == Fraction(1, 2)
-    assert r(-1) * r(1) == 1
-    assert r(3) == 2 * r(1)
-    assert not r(1).is_rational()
-    assert r(4).is_rational() and r(4).rational_part() == 4
 
 
 # ------------------------------------------------------- the impurity ring
@@ -170,8 +126,7 @@ def test_matrix_unit_products():
 
 def embeddings(v):
     """The rational v as an element of each scalar ring it lives in."""
-    out = [v, ImpurityElement.scalar(v), GaussianRational(v),
-           RootTwo(GaussianRational(v))]
+    out = [v, ImpurityElement.scalar(v), CouplingPolynomial.constant(2, v)]
     if v.denominator == 1:
         out.append(int(v))
     return st.sampled_from(out)
@@ -182,8 +137,8 @@ def off_rational():
     return st.one_of(
         st.builds(ImpurityElement, fractions_st, fractions_st.filter(bool),
                   fractions_st, fractions_st),
-        st.builds(GaussianRational, fractions_st, fractions_st.filter(bool)),
-        st.builds(RootTwo, st.just(0), fractions_st.filter(bool)))
+        st.builds(lambda c, v: CouplingPolynomial.variable(2, 0) * c + v,
+                  fractions_st.filter(bool), fractions_st))
 
 
 def mixed_scalars():
@@ -203,8 +158,54 @@ def test_mixed_ring_equality_implies_equal_hash(data):
 
 
 def test_mixed_ring_hash_known_case():
-    assert RootTwo(1) == Fraction(1) and hash(RootTwo(1)) == hash(1)
     m = ImpurityElement.scalar(Fraction(2, 3))
     assert m == Fraction(2, 3) and hash(m) == hash(Fraction(2, 3))
-    g = GaussianRational(Fraction(2, 3))
-    assert g == Fraction(2, 3) and hash(g) == hash(m)
+    p = CouplingPolynomial.constant(2, Fraction(2, 3))
+    assert p == m and m == p and hash(p) == hash(m)
+
+
+# ------------------------------------------ the products bench/spans.py traces
+
+# coordinates on the basis 1, i, sqrt(2), i*sqrt(2); basis element k is
+# i**(k % 2) * sqrt(2)**(k // 2)
+def _coordinates(x):
+    if isinstance(x, RootTwo):
+        return [x.a.re, x.a.im, x.b.re, x.b.im]
+    if isinstance(x, GaussianRational):
+        return [x.re, x.im, Fraction(0), Fraction(0)]
+    return [Fraction(x), Fraction(0), Fraction(0), Fraction(0)]
+
+
+def _basis_product(p, q):
+    """Naive product of two coordinate lists, reducing i*i = -1 and
+    sqrt(2)*sqrt(2) = 2 basis element by basis element."""
+    out = [Fraction(0)] * 4
+    for k, x in enumerate(p):
+        for m, y in enumerate(q):
+            i_power, root_power = k % 2 + m % 2, k // 2 + m // 2
+            sign = -1 if i_power == 2 else 1
+            scale = 2 if root_power == 2 else 1
+            out[i_power % 2 + 2 * (root_power % 2)] += sign * scale * x * y
+    return out
+
+
+def gaussians():
+    return st.builds(GaussianRational, entries_st, entries_st)
+
+
+def root_twos():
+    return st.builds(RootTwo, gaussians(), gaussians())
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_traced_tower_products_match_basis_table(data):
+    g, h = data.draw(gaussians()), data.draw(gaussians())
+    r, t = data.draw(root_twos()), data.draw(root_twos())
+    s = data.draw(st.one_of(fractions_st, st.integers(-9, 9)))
+    for x, y in ((g, h), (g, s), (r, t), (r, g), (r, s)):
+        product = x * y
+        assert type(product) is type(x)
+        coords = _coordinates(product)
+        assert coords == _basis_product(_coordinates(x), _coordinates(y))
+        assert all(type(v) is Fraction for v in coords)
