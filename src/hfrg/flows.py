@@ -179,9 +179,16 @@ def _newton(beta, seed):
     extrapolation is snapped to nearby small rationals (``_snap``): if
     the exact map fixes them, they are the location, certified exact.
     Quadratic convergence cuts the residual by far more per step, so
-    those seeds never pay for a snap; the iterates themselves never
-    depend on the extrapolation, so a run that is not certified ends
-    where plain damped Newton ends.
+    it does not extrapolate on the way in; but once the residual sits
+    at the float noise floor, the last polishing steps cut it by little
+    and can agree on an extrapolation too.  A few quadratic seeds pay
+    for a snap that way: in five draws of 400 graphene seeds, l0 in
+    [-0.3, 1.2] and the rest in [-0.05, 0.05], 4 to 8 runs of 5-7
+    Jacobians onto (1, 0, ...) did.  Each paid one exact graphene
+    evaluate of ~4-7 ms, three to four times the rest of its run, and
+    came out certified exact.  The iterates themselves never depend on
+    the extrapolation, so a run that is not certified ends where plain
+    damped Newton ends.
     """
     import numpy as np
     x = [float(v) for v in seed]

@@ -7,6 +7,11 @@ the interaction's per-image factors, integrate, re-expand the coarse
 interaction degree by degree, and project onto the operator basis.
 The models differ only in ``spec.combination`` (exp and log, or a
 plain product) and ``spec.ring`` (rational or impurity coefficients).
+For exp and log, the coarse interaction is the logarithm of the
+integral, its connected part; the step takes it by the recursion of
+its degree derivative, F * D log F = D F (the moment-cumulant
+recursion), so each degree is built from the lower degrees' connected
+parts and no disconnected product is built only to cancel.
 
 The result is kept as a :class:`BetaMap`: one numerator polynomial per
 coupling over a shared denominator (the free-energy normalization
@@ -334,6 +339,27 @@ def _formal_interaction(spec):
     return w
 
 
+def _log_numerators(c0, w, top):
+    """c0 ** (d/2) * log(c0 + w)_d for each even d from 2 to ``top``,
+    keyed by d, for an even ``w`` with no constant term over commuting
+    coefficients.
+
+    The degree operator D is a derivation on the even part, so
+    (c0 + w) * D log(c0 + w) = D w.  Its degree-d part, with N_e the
+    result for degree e, gives
+    N_d = c0 ** (d/2 - 1) w_d - sum_{e < d} (e/d) c0 ** ((d-e)/2 - 1)
+    w_{d-e} N_e, run by Horner in c0.  Each product multiplies a part
+    of w by a connected part N_e, never a power of w."""
+    parts = {d: w.degree_part(d) for d in range(2, top + 1, 2)}
+    logs = {}
+    for d in parts:
+        s = parts[d]
+        for e in range(2, d, 2):
+            s = s.scale(c0) + parts[d - e] * logs[e].scale(Fraction(-e, d))
+        logs[d] = s
+    return logs
+
+
 def rg_step(spec):
     """Integrate one scale of the model ``spec`` describes.
 
@@ -347,12 +373,12 @@ def rg_step(spec):
        normalization c0 must be a coupling polynomial (over the
        ``impurity`` ring, a scalar matrix of one) with constant term 1.
     3. Re-expand per Grassmann degree d over the denominator c0 ** p:
-       for "exp-log" replication * log(c0 + w), a log series with
-       p = d/2, so every numerator stays an exact polynomial; for
-       "product" w / c0, with p = 1 and multiplier 1.  The series
-       sum_k a_k c0 ** (p - k) (w ** k)_d runs by Horner in c0,
-       s <- s * c0 + a_k (w ** k)_d for k = 1..p, so no power of c0
-       is built.
+       for "exp-log" replication * log(c0 + w) with p = d/2, so every
+       numerator stays an exact polynomial; for "product" w / c0, with
+       p = 1 and multiplier 1.  The log is only the connected part of
+       the integral, and :func:`_log_numerators` builds it degree by
+       degree from the lower degrees' parts, so no power of w (whose
+       disconnected products would cancel) and no power of c0 is built.
     4. Project each degree onto that degree's basis operators; any
        residual raises :class:`SymmetryViolation`.
     """
@@ -393,20 +419,17 @@ def rg_step(spec):
     groups = {mask.bit_count(): [] for mask in w.terms}
     for i, poly in enumerate(spec.basis.polys):
         groups.setdefault(poly.max_degree(), []).append(i)
-    powers = {1: w}
-    for k in range(2, power(max(groups)) + 1):
-        powers[k] = powers[k - 1] * w
+    if spec.combination == "exp-log":
+        parts = _log_numerators(c0, w, max(groups))
+    else:
+        parts = {d: w.degree_part(d) for d in groups}
 
     numerators = [None] * n
     denom_powers = [0] * n
     for d, idxs in sorted(groups.items()):
-        p = power(d)
-        series = GrassmannPolynomial()
-        for k in range(1, p + 1):
-            series = series.scale(c0) + powers[k].degree_part(d).scale(
-                Fraction((-1) ** (k + 1) * multiplier, k))
         coeffs, residual = project_onto_basis(
-            series, [spec.basis.polys[i] for i in idxs])
+            parts[d].scale(Fraction(multiplier)),
+            [spec.basis.polys[i] for i in idxs])
         if residual.terms:
             raise SymmetryViolation(
                 f"degree-{d} output leaves the operator basis "
@@ -414,7 +437,7 @@ def rg_step(spec):
         for i, c in zip(idxs, coeffs):
             numerators[i] = c if isinstance(c, CouplingPolynomial) \
                 else CouplingPolynomial.constant(n, c)
-            denom_powers[i] = p
+            denom_powers[i] = power(d)
 
     return BetaMap(
         model=spec.name,

@@ -11,16 +11,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hfrg.couplings import CouplingPolynomial, power_table
 from hfrg.flows import iterate_flow
 from hfrg.grassmann import (GeneratorId, GrassmannPolynomial,
-                            SingularNormalization, bits_of)
+                            SingularNormalization, bits_of, log_truncated)
 from hfrg.integration import PropagatorTable, integrate_polynomial
 from hfrg.models import OperatorBasis, graphene_model, kondo_model
 from hfrg.rg import (SHIPPED, BetaMap, SymmetryViolation,
-                     _formal_interaction, rg_step, shipped_map)
+                     _formal_interaction, _log_numerators, rg_step,
+                     shipped_map)
 from hfrg.scalars import ImpurityElement
 
 DATA = Path(__file__).parent / "data"
@@ -327,7 +328,9 @@ def test_building_both_maps_kernels_and_flow_loops_stays_small():
 def test_graphene_step_multiplies_few_term_pairs(monkeypatch):
     # 222,435 polynomial term pairs when every Grassmann term pair and
     # every power c0 ** (p - k) multiplied; 97,300 with the log series
-    # by Horner in c0 and each distinct coefficient pair multiplied once
+    # by Horner in c0 and each distinct coefficient pair multiplied
+    # once; 29,418 with the log by the degree recursion, which never
+    # builds the powers of w that the series needs
     pairs = 0
     mul = CouplingPolynomial.__mul__
 
@@ -339,19 +342,22 @@ def test_graphene_step_multiplies_few_term_pairs(monkeypatch):
 
     monkeypatch.setattr(CouplingPolynomial, "__mul__", counted)
     rg_step(GRAPHENE)
-    assert pairs <= 100_000
+    assert pairs <= 30_000
 
 
 def test_graphene_step_memory_stays_small_and_is_given_back():
     # peaked near 1.76 MB (1.67 MiB) before the shared coefficient
-    # products, ~1.64 MB after; a memo that outlived its product would
-    # raise the peak of a later step and stay behind after it.  A full
-    # collection empties the interpreter's free lists: without one just
-    # before, the step reuses blocks allocated before tracing began
-    # (peak ~1.59 MB), and without one after, the blocks the free lists
-    # keep count as kept (~53 KB after a full collection, ~3 KB
-    # otherwise), so both readings hung on the collections that earlier
-    # tests happened to trigger
+    # products, ~1.64 MB after them, and ~0.67 MB (667,732 bytes) with
+    # the log by the degree recursion, which builds no power of w; the
+    # bound keeps the 117,816 bytes of headroom it had over ~1.64 MB.
+    # A return to the log series fails it.  A memo that outlived its
+    # product would raise the peak of a later step and stay behind
+    # after it.  A full collection empties the interpreter's free
+    # lists: without one just before, the step reuses blocks allocated
+    # before tracing began (peak ~0.65 MB), and without one after, the
+    # blocks the free lists keep count as kept (~53 KB after a full
+    # collection, ~3 KB otherwise), so both readings hung on the
+    # collections that earlier tests happened to trigger
     gc.collect()
     tracemalloc.start()
     try:
@@ -362,8 +368,66 @@ def test_graphene_step_memory_stays_small_and_is_given_back():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak <= 1_755_576
+    assert peak <= 785_548
     assert kept < 16_384
+
+
+# -- the log by the degree recursion -------------------------------------
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+EVEN_MASKS = st.integers(1, 255).filter(lambda m: m.bit_count() % 2 == 0)
+COUPLING_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), SMALL,
+    min_size=1, max_size=3).map(lambda t: CouplingPolynomial(2, t))
+POINTS = st.tuples(SMALL, SMALL)
+
+
+def even_elements(coefficients):
+    """Even Grassmann elements over 8 generators, no constant term."""
+    return st.dictionaries(EVEN_MASKS, coefficients, max_size=5).map(
+        GrassmannPolynomial)
+
+
+# degrees 2 and 6 only: N_4 and N_8 come from w_2 N_2 and w_2 N_6 alone
+TWO_AND_SIX = {0b11: 1, 0b110000: 2, 0b11111100: -3}
+
+
+def check_log_numerators(c0, w, value):
+    """Each degree part of ``_log_numerators(c0, w, 8)`` equals that
+    part of ``log_truncated(c0 + w)`` times c0 ** (d/2), once
+    ``value`` has mapped every coefficient to a rational."""
+    def at(p):
+        return GrassmannPolynomial({m: value(c) for m, c in p.terms.items()})
+
+    logs = _log_numerators(c0, w, 8)
+    assert sorted(logs) == [2, 4, 6, 8]
+    c, log = log_truncated(GrassmannPolynomial.scalar(value(c0)) + at(w))
+    for d, part in logs.items():
+        assert at(part) == log.degree_part(d).scale(c ** (d // 2)), d
+
+
+@given(c0=SMALL.filter(bool), w=even_elements(SMALL))
+@example(c0=Fraction(2, 3), w=GrassmannPolynomial(
+    {m: Fraction(c, 2) for m, c in TWO_AND_SIX.items()}))
+@settings(max_examples=60, deadline=None)
+def test_log_numerators_match_the_log_series(c0, w):
+    check_log_numerators(c0, w, lambda c: c)
+
+
+@given(c0=COUPLING_POLYS, w=even_elements(COUPLING_POLYS), point=POINTS)
+@example(c0=CouplingPolynomial(2, {(0, 0): 1, (1, 1): Fraction(-1, 2)}),
+         w=GrassmannPolynomial(
+             {m: CouplingPolynomial(2, {(1, 0): c, (0, 2): 1})
+              for m, c in TWO_AND_SIX.items()}),
+         point=(Fraction(1, 3), Fraction(-2)))
+@settings(max_examples=60, deadline=None)
+def test_log_numerators_match_the_log_series_at_a_point(c0, w, point):
+    # the recursion over polynomial coefficients, evaluated at a point,
+    # is the log series of the element evaluated there: evaluation is a
+    # ring homomorphism
+    assume(c0.evaluate(point))
+    check_log_numerators(c0, w, lambda c: c.evaluate(point))
 
 
 # -- reproducibility -----------------------------------------------------
