@@ -340,8 +340,14 @@ class CouplingPolynomial:
                 for k, v in sorted(self._c.items())]
 
     def to_json_obj(self):
-        rows = [[list(e), str(c.numerator), str(c.denominator)]
-                for e, c in self._sorted_terms()]
+        """Each term's exponents and reduced numerator and denominator,
+        in exponent order, reduced by ``gcd`` on the packed ints."""
+        shifts, den = _shifts(self.nvars), self._den
+        rows = []
+        for k, v in sorted(self._c.items()):
+            g = gcd(v, den)
+            rows.append([[k >> s & _FIELD for s in shifts],
+                         str(v // g), str(den // g)])
         return {"nvars": self.nvars, "terms": rows}
 
     @classmethod

@@ -12,10 +12,22 @@ The fixtures are built once per object they depend on: the Fock
 annihilators and creators once per mode count, and for a
 ``ModeMatrix``, which keeps a read-only copy of ``mu``, from first use
 its Fock Hamiltonian, that Hamiltonian's spectrum (one ``eigh`` for
-every beta), its eigenbasis, its Matsubara kernel per (beta, cutoff)
-and its Fourier weights per beta.  A function given a raw array builds
-a fresh ``ModeMatrix`` and keeps nothing, so a caller that reuses one
-mode matrix passes the ``ModeMatrix`` itself.
+every beta) and its partition function per beta, its eigenbasis, its
+Matsubara kernel per (beta, cutoff) and its Fourier weights per beta.
+A function given a raw array builds a fresh ``ModeMatrix`` and keeps
+nothing, so a caller that reuses one mode matrix passes the
+``ModeMatrix`` itself.
+
+The frequency sums compute only the non-negative half of the
+frequencies and mirror the rest.  The half-integer frequencies are
+symmetric, exactly also in floats: m + 1/2 at m = -m' - 1 is the exact
+negative of m' + 1/2, and multiplying by 2 pi / beta keeps the sign
+exact.  The eigenvalues lam of the Hermitian ``mu`` are real.  So the
+kernel row 1/(-i k0 + lam) + 1/(i k0) and the phases e^{-/+ i k0 tau}
+at -k0 are the complex conjugates of those at +k0, and the negative
+half is their reversed conjugate.  The products and sums still run
+over every frequency in the full order, so each value is bit for bit
+that of the full computation.
 """
 
 from __future__ import annotations
@@ -53,11 +65,14 @@ class ModeMatrix:
         n = m.shape[0]
         if not 1 <= n <= MAX_MODES:
             raise ValueError(f"mode count must be in 1..{MAX_MODES}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("mode matrix must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("mode matrix must be Hermitian")
         m.flags.writeable = False
         self.mu = m
         self.n = n
+        self._partition = {}
         self._kernels = {}
         self._fourier = {}
 
@@ -86,33 +101,47 @@ class ModeMatrix:
         """(eigenvalues, eigenvectors) of ``mu``."""
         return _frozen(*np.linalg.eigh(self.mu))
 
+    @cached_property
+    def _spectrum_adjoint(self):
+        """The conjugate transpose of the spectrum's eigenvectors."""
+        return _frozen(self.spectrum[1].conj().T)[0]
+
     def chain_decays(self, times, beta):
         """(decays, Z): the decays e^{-(beta - t1) H}, ..., e^{-tn H}
         between weakly decreasing times t1 >= ... >= tn in [0, beta),
         or [e^{-beta H}] for no times, equal gaps sharing one matrix,
-        and the partition function Z of the shifted levels."""
+        and the partition function Z of the shifted levels, kept per
+        beta."""
         levels, vecs = self.spectrum
+        adjoint = self._spectrum_adjoint
         gaps = [a - b for a, b in zip([beta, *times], [*times, 0.0])]
         made = {}
         for s in gaps:
             if s not in made:
-                made[s] = (vecs * np.exp(-s * levels)) @ vecs.conj().T
-        return [made[s] for s in gaps], float(np.sum(np.exp(-beta * levels)))
+                made[s] = (vecs * np.exp(-s * levels)) @ adjoint
+        z = self._partition.get(beta)
+        if z is None:
+            z = self._partition[beta] = float(np.sum(np.exp(-beta * levels)))
+        return [made[s] for s in gaps], z
 
     def matsubara_kernel(self, beta, cutoff):
         """(k0, 1/(-i k0 + lam) + 1/(i k0)) on the 2 * cutoff
         half-integer frequencies, one row per frequency and one column
         per eigenvalue lam; ``matsubara_two_point`` weights the rows by
-        the phase of tau."""
+        the phase of tau.  Only the cutoff non-negative frequencies are
+        computed: with lam real and the frequencies exactly symmetric,
+        the rows at -k0 are the reversed conjugates of those at +k0."""
         key = (beta, cutoff)
         kernel = self._kernels.get(key)
         if kernel is None:
             lam = self.eigenbasis[0]
-            m = np.arange(-cutoff, cutoff)
-            k0 = (2 * np.pi / beta) * (m + 0.5)
+            k0 = (2 * np.pi / beta) * (np.arange(cutoff) + 0.5)
             resolvent = 1.0 / (-1j * k0[:, None] + lam[None, :])
             correction = (1.0 / (1j * k0))[:, None]
-            kernel = self._kernels[key] = _frozen(k0, resolvent + correction)
+            rows = resolvent + correction
+            kernel = self._kernels[key] = _frozen(
+                np.concatenate((-k0[::-1], k0)),
+                np.concatenate((rows[::-1].conj(), rows)))
         return kernel
 
     def fourier_weights(self, beta):
@@ -247,16 +276,26 @@ def matsubara_two_point(mu, beta, tau, cutoff):
     summand is replaced by its exact limit sgn(tau)/2, which is what
     makes the truncation converge quadratically; at tau = 0 the
     formula returns half the identity plus the principal-part sum.
+    ``cutoff`` must be an integer.
+
+    The phase e^{-i k0 tau} is computed on the non-negative
+    frequencies only; at -k0 it is the conjugate, as for the kernel
+    rows of ``ModeMatrix.matsubara_kernel``.  The weighted rows are
+    summed over all 2 * cutoff frequencies in order, so the value is
+    bit for bit that of the full computation.
     """
     mode = _as_mode(mu)
     _check_beta(beta)
+    if not isinstance(cutoff, (int, np.integer)):
+        raise ValueError("cutoff must be an integer")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     if not -beta < tau < beta:
         raise ValueError("tau must lie in (-beta, beta)")
     u = mode.eigenbasis[1]
     k0, kernel = mode.matsubara_kernel(beta, cutoff)
-    phase = np.exp(-1j * k0 * tau)
+    phase_pos = np.exp(-1j * k0[cutoff:] * tau)
+    phase = np.concatenate((phase_pos[::-1].conj(), phase_pos))
     weights = (phase[:, None] * kernel).sum(axis=0) / beta
     half = 0.5 if tau >= 0 else -0.5
     return (u * weights) @ u.conj().T + half * np.eye(mode.n)
@@ -267,7 +306,9 @@ def fourier_two_point(mu, beta, k_index):
     e^{i k0 tau} s(tau) dtau of the closed-form two-point function at
     the half-integer frequency indexed by ``k_index``; the midpoint
     rule is applied separately on each side of the tau = 0 jump.
-    ``k_index`` must be an integer."""
+    ``k_index`` must be an integer.  The phase e^{-i k0 tau} at each
+    negative midpoint -tau is taken as the conjugate of the phase
+    e^{i k0 tau} at +tau, exact since k0 and tau are real."""
     mode = _as_mode(mu)
     _check_beta(beta)
     if not isinstance(k_index, (int, np.integer)):
@@ -277,7 +318,7 @@ def fourier_two_point(mu, beta, k_index):
     dt = beta / (FOURIER_PANELS // 2)
     taus, w_pos, w_neg = mode.fourier_weights(beta)
     phase_pos = np.exp(1j * k0 * taus)
-    phase_neg = np.exp(-1j * k0 * taus)
+    phase_neg = phase_pos.conj()
     coeff = (phase_pos[:, None] * w_pos
              + phase_neg[:, None] * w_neg).sum(axis=0) * dt / 2
     return (u * coeff) @ u.conj().T

@@ -8,6 +8,7 @@ import pytest
 
 from hfrg import fock
 from hfrg.fock import (
+    FOURIER_PANELS,
     MAX_MODES,
     ModeMatrix,
     _operators,
@@ -157,6 +158,62 @@ def test_zero_frequency_branch_matches_principal_part_sum():
     assert np.max(np.abs(got - (0.5 * np.eye(2) + principal))) < 1e-12
 
 
+def _full_matsubara_kernel(lam, beta, cutoff):
+    """The kernel computed on all 2 * cutoff frequencies directly."""
+    k0 = (2 * np.pi / beta) * (np.arange(-cutoff, cutoff) + 0.5)
+    resolvent = 1.0 / (-1j * k0[:, None] + lam[None, :])
+    return k0, resolvent + (1.0 / (1j * k0))[:, None]
+
+
+def _full_matsubara_two_point(mode, beta, tau, cutoff):
+    lam, u = mode.eigenbasis
+    k0, kernel = _full_matsubara_kernel(lam, beta, cutoff)
+    phase = np.exp(-1j * k0 * tau)
+    weights = (phase[:, None] * kernel).sum(axis=0) / beta
+    half = 0.5 if tau >= 0 else -0.5
+    return (u * weights) @ u.conj().T + half * np.eye(mode.n)
+
+
+def _full_fourier_two_point(mode, beta, k_index):
+    lam, u = mode.eigenbasis
+    k0 = (2 * np.pi / beta) * (k_index + 0.5)
+    half = FOURIER_PANELS // 2
+    dt = beta / half
+    taus = dt * (np.arange(half) + 0.5)
+    log_occ = -np.logaddexp(0.0, -beta * lam)
+    w_pos = np.exp(-taus[:, None] * lam[None, :] + log_occ[None, :])
+    w_neg = -np.exp((taus[:, None] - beta) * lam[None, :]
+                    + log_occ[None, :])
+    coeff = (np.exp(1j * k0 * taus)[:, None] * w_pos
+             + np.exp(-1j * k0 * taus)[:, None] * w_neg).sum(axis=0)
+    return (u * (coeff * dt / 2)) @ u.conj().T
+
+
+@pytest.mark.parametrize("beta", [0.013, 1.0, 5.0, 50.0])
+def test_mirrored_frequency_sums_equal_the_full_ones_bit_for_bit(beta):
+    # the mirrored negative half must leave every output bit of the
+    # sums over all frequencies; the kernel itself is held by value,
+    # since at lam = 0 an exactly-zero entry may carry either sign
+    rng = np.random.default_rng(70)
+    modes = [_random_mode(rng, n) for n in (1, 2, 3)]
+    modes += [ModeMatrix([[0.0]]), ModeMatrix(np.diag([0.0, 0.7]))]
+    for mode in modes:
+        lam = mode.eigenbasis[0]
+        for cutoff in (1, 2, 100, 10 ** 4):
+            k0, kernel = mode.matsubara_kernel(beta, cutoff)
+            full_k0, full_kernel = _full_matsubara_kernel(lam, beta, cutoff)
+            assert k0.tobytes() == full_k0.tobytes()
+            assert np.array_equal(kernel, full_kernel)
+            for tau in (0.0, -0.0, 1e-3, -1e-3, 0.3 * beta, -0.7 * beta):
+                got = matsubara_two_point(mode, beta, tau, cutoff)
+                want = _full_matsubara_two_point(mode, beta, tau, cutoff)
+                assert got.tobytes() == want.tobytes(), (cutoff, tau)
+        for k_index in range(-3, 6):
+            got = fourier_two_point(mode, beta, k_index)
+            want = _full_fourier_two_point(mode, beta, k_index)
+            assert got.tobytes() == want.tobytes(), k_index
+
+
 @pytest.mark.parametrize("beta", [1.0, 5.0])
 def test_quadrature_fourier_coefficient_matches_resolvent(beta):
     rng = np.random.default_rng(int(beta))
@@ -240,6 +297,11 @@ def test_mode_matrix_validation():
     for bad in (np.zeros((2, 3)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="must be square"):
             ModeMatrix(bad)
+    # a NaN would pass the Hermitian check, an inf would warn inside
+    # it, and a NaN off the diagonal would fail later in eigh
+    for bad in ([[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            ModeMatrix(bad)
     assert ModeMatrix(0.5).mu.tolist() == [[0.5]]
 
 
@@ -307,6 +369,10 @@ def test_argument_validation():
         matsubara_two_point(flat, 2.0, 2.5, 100)
     with pytest.raises(ValueError):
         matsubara_two_point(flat, 2.0, 0.5, 0)
+    # a fractional cutoff would put a zero frequency into the sum
+    for cutoff in (2.5, 3.0):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            matsubara_two_point([[0.3]], 2.0, 0.5, cutoff)
     with pytest.raises(ValueError):
         wick_check(flat, 2.0, 4, (0.1,) * 8, (0,) * 8)
     with pytest.raises(ValueError):
@@ -322,6 +388,7 @@ def test_argument_validation():
     # NumPy integers index modes and frequencies like ints
     time_ordered_average(flat, 2.0, [(0.1, "-", np.int64(0))])
     fourier_two_point(flat, 2.0, np.int64(1))
+    matsubara_two_point(flat, 2.0, 0.5, np.int64(3))
 
 
 def test_empty_product_is_the_normalized_trace():
